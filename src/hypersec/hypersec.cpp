@@ -25,6 +25,8 @@ Hypersec::Hypersec(sim::Machine& machine, kernel::Kernel& kernel,
   obs_pt_write_denials_ = obs.counter("hypersec.pt_write_denials");
   obs_traps_ = obs.counter("hypersec.traps");
   obs_trap_denials_ = obs.counter("hypersec.trap_denials");
+  obs_audit_scans_ = obs.counter("hypersec.audit.scans");
+  obs_audit_memo_hits_ = obs.counter("hypersec.audit.memo_hits");
   span_hvc_ = machine_.spans().intern("hypersec.hvc");
   span_trap_ = machine_.spans().intern("hypersec.trap");
 }
@@ -149,6 +151,17 @@ Status Hypersec::enable_dma_protection(sim::Iommu& iommu,
   return Status::Ok();
 }
 
+void Hypersec::revalidate_audit_cache() const {
+  std::erase_if(audit_cache_, [&](const auto& kv) {
+    const AuditTableEntry& entry = kv.second;
+    if (entry.has_alias || !verifier_.is_pt_page(kv.first)) return true;
+    for (const auto& [begin, end] : entry.writable) {
+      if (verifier_.any_pt_page_in(begin, end)) return true;
+    }
+    return false;
+  });
+}
+
 std::vector<AuditFinding> Hypersec::audit_report() const {
   std::vector<AuditFinding> violations;
   auto note = [&](AuditCode code, std::string detail) {
@@ -173,12 +186,14 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
   // memoization changes no simulated state whatsoever.
   const bool memoize = machine_.host_fast_path();
   if (memoize && audit_cache_gen_ != verifier_.generation()) {
-    audit_cache_.clear();
+    revalidate_audit_cache();
     audit_cache_gen_ = verifier_.generation();
   }
 
   auto scan_table = [&](PhysAddr table, unsigned level,
-                        std::vector<AuditScanItem>& items) {
+                        AuditTableEntry& entry) {
+    obs_audit_scans_.add();
+    std::vector<AuditScanItem>& items = entry.items;
     for (u64 idx = 0; idx < kPtEntries; ++idx) {
       const u64 desc = machine_.phys().read64(table + idx * 8);
       if (!sim::desc_valid(desc)) continue;
@@ -209,13 +224,18 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
       }
       // 1. PT pages are read-only through any alias.
       if (attrs.write) {
-        for (PhysAddr p = out; p < out + span; p += kPageSize) {
-          if (verifier_.is_pt_page(p)) {
-            items.push_back(
-                AuditScanItem{.code = AuditCode::kPtWritableAlias,
-                              .detail = ": writable alias of a PT page"});
-            break;
-          }
+        const PhysAddr begin = page_align_down(out);
+        const PhysAddr end = begin + span;
+        if (verifier_.any_pt_page_in(begin, end)) {
+          items.push_back(
+              AuditScanItem{.code = AuditCode::kPtWritableAlias,
+                            .detail = ": writable alias of a PT page"});
+          entry.has_alias = true;
+        }
+        if (!entry.writable.empty() && entry.writable.back().second == begin) {
+          entry.writable.back().second = end;
+        } else {
+          entry.writable.emplace_back(begin, end);
         }
       }
     }
@@ -224,7 +244,7 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
   auto walk_tree = [&](auto&& self, PhysAddr table, unsigned level,
                        const char* which) -> void {
     const std::vector<AuditScanItem>* items = nullptr;
-    std::vector<AuditScanItem> local;
+    AuditTableEntry local;
     const u64 pindex = table >> kPageShift;
     if (memoize && pindex < machine_.phys().page_count() &&
         machine_.phys().page_watched(pindex)) {
@@ -235,13 +255,15 @@ std::vector<AuditFinding> Hypersec::audit_report() const {
         AuditTableEntry entry;
         entry.epoch = epoch;
         entry.level = level;
-        scan_table(table, level, entry.items);
+        scan_table(table, level, entry);
         it = audit_cache_.insert_or_assign(table, std::move(entry)).first;
+      } else {
+        obs_audit_memo_hits_.add();
       }
       items = &it->second.items;  // std::map: stable across child inserts
     } else {
       scan_table(table, level, local);
-      items = &local;
+      items = &local.items;
     }
     for (const AuditScanItem& item : *items) {
       if (item.is_child) {

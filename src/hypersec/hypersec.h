@@ -14,6 +14,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -198,10 +199,15 @@ class Hypersec {
   // and findings interleaved in entry order, so the DFS finding order is
   // reproduced bit-exactly).  Entries are keyed on the page's mutation
   // epoch (PhysicalMemory page watches, maintained by the PtVerifier
-  // inventory) and the whole cache drops when the inventory generation
-  // moves.  Tables that are *not* watched — e.g. reached through a
-  // corrupted descriptor pointing at an unregistered page — are always
-  // rescanned, so attack-crafted trees can never be served stale.
+  // inventory; a snapshot restore keeps the epochs of pages in both
+  // inventories).  kPtWritableAlias is the only item that depends on the
+  // inventory, so when the inventory generation moves each entry is
+  // revalidated rather than dropped: it survives unless it holds an alias
+  // finding, one of its writable-leaf ranges now covers a registered
+  // table page, or its own page left the inventory.  Tables that are *not*
+  // watched — e.g. reached through a corrupted descriptor pointing at an
+  // unregistered page — are always rescanned, so attack-crafted trees can
+  // never be served stale.
   struct AuditScanItem {
     bool is_child = false;         // true: descend into `child`
     AuditCode code{};              // finding code when !is_child
@@ -211,8 +217,14 @@ class Hypersec {
   struct AuditTableEntry {
     u64 epoch = 0;
     unsigned level = 0;
+    bool has_alias = false;  // items hold a kPtWritableAlias finding
     std::vector<AuditScanItem> items;
+    // Output ranges [first, second) of the writable leaves, adjacent ones
+    // coalesced: where a newly registered table page would be aliased.
+    std::vector<std::pair<PhysAddr, PhysAddr>> writable;
   };
+  /// Drop the memo entries the current inventory may have invalidated.
+  void revalidate_audit_cache() const;
 
   u64 do_pt_write(std::span<const u64> args);
   u64 do_pt_alloc(std::span<const u64> args);
@@ -235,6 +247,9 @@ class Hypersec {
   // Audit memoization state; mutable because audit_report() is const.
   mutable std::map<PhysAddr, AuditTableEntry> audit_cache_;
   mutable u64 audit_cache_gen_ = 0;
+  // Tables scanned vs served from the memo; host work, never in digests.
+  mutable obs::Counter obs_audit_scans_;
+  mutable obs::Counter obs_audit_memo_hits_;
   // Observability: counters plus interned span names for the two EL2
   // entry points (hvc dispatch and sysreg traps).
   obs::Counter obs_hvc_calls_;

@@ -51,7 +51,8 @@ class PtVerifier {
   // Registered table pages are also watched in physical memory so the
   // audit's per-table scan cache (hypersec.cpp) can key entries on the
   // page's mutation epoch.  `generation_` covers the inventory itself:
-  // any add/remove invalidates cached scan structure.
+  // any add/remove makes the audit revalidate its cached scans against
+  // the new inventory (any_pt_page_in).
   void add_pt_page(PhysAddr pa, unsigned level) {
     const PhysAddr page = page_align_down(pa);
     pt_pages_[page] = level;
@@ -66,6 +67,12 @@ class PtVerifier {
   }
   [[nodiscard]] bool is_pt_page(PhysAddr pa) const {
     return pt_pages_.contains(page_align_down(pa));
+  }
+  /// True when a registered table page lies in [begin, end): one ordered
+  /// range query instead of a per-page probe.
+  [[nodiscard]] bool any_pt_page_in(PhysAddr begin, PhysAddr end) const {
+    auto it = pt_pages_.lower_bound(begin);
+    return it != pt_pages_.end() && it->first < end;
   }
   [[nodiscard]] int pt_level(PhysAddr pa) const {
     auto it = pt_pages_.find(page_align_down(pa));
@@ -144,18 +151,25 @@ class PtVerifier {
     r.section("pt verifier");
     kernel_root_ = r.get_u64();
     const u64 npt = r.get_count("table page");
-    for (const auto& [pa, level] : pt_pages_) {
-      machine_.phys().unwatch_page(pa >> kPageShift);
-    }
-    pt_pages_.clear();
+    std::map<PhysAddr, unsigned> restored;
     // All saved in ascending key order, so hinted inserts are O(1).
     for (u64 i = 0; r.ok() && i < npt; ++i) {
       const PhysAddr pa = r.get_u64();
-      pt_pages_.emplace_hint(pt_pages_.end(), pa, r.get_u32());
-      // watch_page always assigns a fresh epoch, so audit-cache entries
-      // recorded before this restore can never match afterwards.
-      machine_.phys().watch_page(pa >> kPageShift);
+      restored.emplace_hint(restored.end(), pa, r.get_u32());
     }
+    // Diff the inventories: pages that leave are unwatched, pages that
+    // enter are watched (with a fresh epoch), and pages in both keep their
+    // watch and epoch.  A kept epoch is still exact: System::restore_state
+    // adopts the snapshot's pages first, and adopt() re-epochs every
+    // watched page whose backing page it swapped.
+    sim::PhysicalMemory& phys = machine_.phys();
+    for (const auto& [pa, level] : pt_pages_) {
+      if (!restored.contains(pa)) phys.unwatch_page(pa >> kPageShift);
+    }
+    for (const auto& [pa, level] : restored) {
+      if (!pt_pages_.contains(pa)) phys.watch_page(pa >> kPageShift);
+    }
+    pt_pages_ = std::move(restored);
     ++generation_;
     const u64 ntree = r.get_count("kernel-tree page");
     kernel_tree_.clear();

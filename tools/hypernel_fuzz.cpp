@@ -28,6 +28,7 @@
 #include <string>
 
 #include "attacks/scenario.h"
+#include "common/parse.h"
 #include "attacks/scorecard.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/seed_io.h"
@@ -124,11 +125,13 @@ bool parse(int argc, char** argv, Options* opt) {
     const char* arg = argv[i];
     std::optional<std::string> v;
     if ((v = arg_value(arg, "--seed"))) {
-      opt->fuzz.seed = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64("--seed", v->c_str(), &opt->fuzz.seed)) return false;
     } else if ((v = arg_value(arg, "--sequences"))) {
-      opt->fuzz.sequences = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64("--sequences", v->c_str(), &opt->fuzz.sequences)) {
+        return false;
+      }
     } else if ((v = arg_value(arg, "--ops"))) {
-      opt->fuzz.ops = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64("--ops", v->c_str(), &opt->fuzz.ops)) return false;
     } else if ((v = arg_value(arg, "--matrix"))) {
       if (*v == "full") {
         opt->fuzz.full_matrix = true;
@@ -139,19 +142,21 @@ bool parse(int argc, char** argv, Options* opt) {
     } else if ((v = arg_value(arg, "--replay-file"))) {
       opt->replay_file = *v;
     } else if ((v = arg_value(arg, "--replay"))) {
-      opt->replay_seed = std::strtoull(v->c_str(), nullptr, 0);
+      hn::u64 seed = 0;
+      if (!hn::parse_u64("--replay", v->c_str(), &seed)) return false;
+      opt->replay_seed = seed;
     } else if (std::strcmp(arg, "--attack-seeds") == 0) {
       opt->fuzz.extended_attacks = true;
       opt->fuzz.scenario_pool = hn::attacks::scenario_pool();
     } else if ((v = arg_value(arg, "--audit-stride"))) {
-      opt->fuzz.audit_stride =
-          static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 0));
+      if (!hn::parse_u64("--audit-stride", v->c_str(),
+                         &opt->fuzz.audit_stride)) {
+        return false;
+      }
     } else if ((v = arg_value(arg, "--jobs"))) {
-      opt->fuzz.jobs =
-          static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 0));
+      if (!hn::parse_u64("--jobs", v->c_str(), &opt->fuzz.jobs)) return false;
     } else if ((v = arg_value(arg, "--cores"))) {
-      opt->fuzz.cores =
-          static_cast<unsigned>(std::strtoul(v->c_str(), nullptr, 0));
+      if (!hn::parse_u64("--cores", v->c_str(), &opt->fuzz.cores)) return false;
       if (opt->fuzz.cores == 0 || opt->fuzz.cores > 8) {
         std::fprintf(stderr, "--cores must be in [1, 8]\n");
         return false;
@@ -163,7 +168,10 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->trace_out = *v;
       opt->fuzz.capture_trace = true;
     } else if ((v = arg_value(arg, "--sample-cycles"))) {
-      opt->fuzz.sample_cycles = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64("--sample-cycles", v->c_str(),
+                         &opt->fuzz.sample_cycles)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--sample-cycles") == 0) {
       opt->fuzz.sample_cycles = hn::obs::kDefaultSampleCycles;
     } else if ((v = arg_value(arg, "--timeseries-out"))) {
@@ -177,7 +185,10 @@ bool parse(int argc, char** argv, Options* opt) {
     } else if (std::strcmp(arg, "--reference") == 0) {
       opt->fuzz.host_fast_path = false;
     } else if ((v = arg_value(arg, "--decoupled"))) {
-      opt->fuzz.decoupled_quantum = std::strtoull(v->c_str(), nullptr, 0);
+      if (!hn::parse_u64("--decoupled", v->c_str(),
+                         &opt->fuzz.decoupled_quantum)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--decoupled") == 0) {
       opt->fuzz.decoupled_quantum = hn::fuzz::kDefaultDecoupledQuantum;
     } else if (std::strcmp(arg, "--profile") == 0) {

@@ -18,6 +18,7 @@
 #include <fstream>
 
 #include "attacks/scorecard.h"
+#include "common/parse.h"
 #include "obs/timeseries.h"
 #include "sim/trace_io.h"
 
@@ -62,10 +63,14 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string trace_out;
   std::string timeseries_out;
+  auto usage_error = [] {
+    usage();
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opt.jobs = static_cast<unsigned>(std::strtoul(arg + 7, nullptr, 0));
+      if (!hn::parse_u64("--jobs", arg + 7, &opt.jobs)) return usage_error();
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out_path = arg + 6;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
@@ -75,17 +80,21 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
       opt.snapshot_boot = true;
     } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-      opt.cores = static_cast<unsigned>(std::strtoul(arg + 8, nullptr, 0));
+      if (!hn::parse_u64("--cores", arg + 8, &opt.cores)) return usage_error();
       if (opt.cores == 0 || opt.cores > 8) {
         std::fprintf(stderr, "--cores must be in [1, 8]\n");
         return 2;
       }
     } else if (std::strncmp(arg, "--decoupled=", 12) == 0) {
-      opt.decoupled_quantum = std::strtoull(arg + 12, nullptr, 0);
+      if (!hn::parse_u64("--decoupled", arg + 12, &opt.decoupled_quantum)) {
+        return usage_error();
+      }
     } else if (std::strcmp(arg, "--decoupled") == 0) {
       opt.decoupled_quantum = hn::fuzz::kDefaultDecoupledQuantum;
     } else if (std::strncmp(arg, "--sample-cycles=", 16) == 0) {
-      opt.sample_cycles = std::strtoull(arg + 16, nullptr, 0);
+      if (!hn::parse_u64("--sample-cycles", arg + 16, &opt.sample_cycles)) {
+        return usage_error();
+      }
     } else if (std::strcmp(arg, "--sample-cycles") == 0) {
       opt.sample_cycles = hn::obs::kDefaultSampleCycles;
     } else if (std::strncmp(arg, "--timeseries-out=", 17) == 0) {
@@ -100,8 +109,7 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg);
-      usage();
-      return 2;
+      return usage_error();
     }
   }
 

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/hvc_abi.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "hypernel/system.h"
 #include "obs/export.h"
@@ -71,13 +72,13 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (const char* v2 = arg_value(argv[i], "--iters")) {
-      opt.iters = static_cast<unsigned>(std::atoi(v2));
+      if (!parse_u64("--iters", v2, &opt.iters)) return false;
     } else if (const char* v3 = arg_value(argv[i], "--name")) {
       opt.name = v3;
     } else if (const char* v4 = arg_value(argv[i], "--scale")) {
       opt.scale = std::atof(v4);
     } else if (const char* v5 = arg_value(argv[i], "--seed")) {
-      opt.seed = std::strtoull(v5, nullptr, 0);
+      if (!parse_u64("--seed", v5, &opt.seed)) return false;
     } else if (const char* v6 = arg_value(argv[i], "--monitor")) {
       opt.monitor = v6;
     } else if (const char* v7 = arg_value(argv[i], "--scenario")) {
@@ -87,7 +88,7 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (const char* v9 = arg_value(argv[i], "--trace-out")) {
       opt.trace_out = v9;
     } else if (const char* vs = arg_value(argv[i], "--sample-cycles")) {
-      opt.sample_cycles = std::strtoull(vs, nullptr, 0);
+      if (!parse_u64("--sample-cycles", vs, &opt.sample_cycles)) return false;
     } else if (const char* vt = arg_value(argv[i], "--timeseries-out")) {
       opt.timeseries_out = vt;
     } else if (std::strcmp(argv[i], "--sample-cycles") == 0) {
