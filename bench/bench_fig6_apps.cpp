@@ -13,8 +13,8 @@
 
 int main(int argc, char** argv) {
   using hn::hypernel::Mode;
-  const char* kApps[] = {"whetstone", "dhrystone", "untar", "iozone", "apache"};
-  constexpr int kAppCount = 5;
+  using hn::workloads::kAppNames;
+  constexpr int kAppCount = std::size(kAppNames);
   const unsigned jobs = hn::bench::parse_args(argc, argv).jobs;
 
   // 3 modes x 5 apps = 15 independent cells; each gets a fresh system
@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
         auto sys = hn::bench::make_perf_system(modes[m]);
         hn::workloads::AppParams p;
         p.scale = 0.35;  // overhead ratios are scale-invariant; keep runs fast
-        const double us = hn::workloads::run_app_by_name(*sys, kApps[a], p).us;
+        const double us =
+            hn::workloads::run_app_by_name(*sys, kAppNames[a], p).us;
         hn::bench::record_cell_metrics(cell, *sys);
         return us;
       });
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     const double nh = us[2][a] / us[0][a];
     sum_kvm += nk - 1.0;
     sum_hyper += nh - 1.0;
-    std::printf("%-12s %12.0f %18.3f %18.3f\n", kApps[a], us[0][a], nk, nh);
+    std::printf("%-12s %12.0f %18.3f %18.3f\n", kAppNames[a], us[0][a], nk, nh);
   }
   hn::bench::print_rule(64);
   std::printf(

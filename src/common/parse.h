@@ -2,14 +2,16 @@
 //
 // std::strtoull accepts a leading '-' (and wraps the value), stops
 // silently at trailing junk, and turns garbage into 0.  The tools parse
-// every numeric flag through parse_u64 instead, so a bad value is a
-// usage error (exit 2) rather than a surprising campaign.
+// every numeric flag through parse_u64 (or parse_decimal for fractional
+// values) instead, so a bad value is a usage error (exit 2) rather than
+// a surprising campaign.
 #pragma once
 
 #include <cerrno>
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "common/types.h"
@@ -37,6 +39,27 @@ bool parse_u64(const char* flag, const char* text, T* out) {
                "%s: expected an unsigned number no larger than %llu, got "
                "'%s'\n",
                flag, kMax, text);
+  return false;
+}
+
+/// Parse all of `text`, the value of `flag`, into `*out`: a plain
+/// unsigned decimal — digits with at most one '.', no sign, exponent,
+/// hex, inf or nan — in (0, max].  Rejected like parse_u64: the reason
+/// goes to stderr, the result is false, `*out` is untouched.
+inline bool parse_decimal(const char* flag, const char* text, double max,
+                          double* out) {
+  constexpr const char* kDigits = "0123456789";
+  const char* end = text + std::strspn(text, kDigits);
+  if (*end == '.') end += 1 + std::strspn(end + 1, kDigits);
+  if (*end == '\0' && std::strpbrk(text, kDigits) != nullptr) {
+    const double value = std::strtod(text, nullptr);
+    if (value > 0 && value <= max) {
+      *out = value;
+      return true;
+    }
+  }
+  std::fprintf(stderr, "%s: expected a decimal number in (0, %g], got '%s'\n",
+               flag, max, text);
   return false;
 }
 

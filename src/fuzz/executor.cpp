@@ -109,7 +109,6 @@ u64 session_digest(const FuzzConfigSpec& spec) {
   h = fold(h, spec.l1_miss_fill);
   h = fold(h, spec.use_sections ? 1 : 0);
   h = fold(h, spec.host_fast_path ? 1 : 0);
-  h = fold(h, spec.decoupled_quantum);
   h = fold(h, spec.cores);
   return h;
 }
@@ -363,14 +362,6 @@ class Exec {
     }
     owned_sys_ = std::move(built).value();
     sys_ = owned_sys_.get();
-    // Instrumented runs bind the span tracer to the raw cycle counter
-    // (CycleAccount::cycles_ref()), which bypasses the decoupled fold —
-    // run them on the exact path.  Observable results are identical
-    // either way, so this only narrows where the optimization applies.
-    if (opt_.trace_step != ~0ull || opt_.collect_metrics ||
-        opt_.capture_trace) {
-      m().set_decoupled_quantum(0);
-    }
     if (opt_.profile) {
       // System::create predates the machine's profiler; charge the whole
       // build + boot stretch to kBoot by hand.
@@ -1224,7 +1215,6 @@ hypernel::SystemConfig FuzzConfigSpec::system_config() const {
   if (cache_size_bytes != 0) cfg.machine.cache.size_bytes = cache_size_bytes;
   if (l1_miss_fill != 0) cfg.machine.timing.l1_miss_fill = l1_miss_fill;
   cfg.machine.host_fast_path = host_fast_path;
-  cfg.machine.decoupled_quantum = decoupled_quantum;
   cfg.machine.cores = cores == 0 ? 1 : cores;
   cfg.kernel.use_sections = use_sections;
   // enable_mbm stays true in every mode: with the MBM attached, Native

@@ -19,7 +19,6 @@ Machine::Machine(const MachineConfig& config)
     cores_.push_back(
         std::make_unique<CoreState>(config_, phys_, bus_, obs_, trace_));
     cores_.back()->mmu.tlb().set_index_enabled(config.host_fast_path);
-    cores_.back()->account.set_decoupled_quantum(config.decoupled_quantum);
     cores_.back()->cache.set_bus_provenance(static_cast<u8>(i),
                                             &bus_last_timestamp_);
   }
@@ -51,8 +50,7 @@ void Machine::enroll_builtin_tracks() {
   // Hypersec layers enroll theirs later in construction order, so the
   // serialized track table is deterministic for a given system shape.
   // The probes read the per-core ledgers directly (always live, not
-  // registry-gated) through the decoupled-fold rule: Counters fields
-  // only mutate on committed charges, and cycles() folds on observe.
+  // registry-gated).
   for (unsigned i = 0; i < cores_.size(); ++i) {
     const CoreState* core = cores_[i].get();
     const std::string prefix = "sim.core" + std::to_string(i) + ".";

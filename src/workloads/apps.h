@@ -56,7 +56,11 @@ AppResult run_apache(hypernel::System& system, const AppParams& p = {});
 std::vector<AppResult> run_all_apps(hypernel::System& system,
                                     const AppParams& p = {});
 
-/// Lookup by name ("whetstone", "dhrystone", "untar", "iozone", "apache").
+/// The five app names, in Table 2 order.
+inline constexpr const char* kAppNames[] = {"whetstone", "dhrystone", "untar",
+                                            "iozone", "apache"};
+
+/// Lookup by name (one of kAppNames).
 AppResult run_app_by_name(hypernel::System& system, const std::string& name,
                           const AppParams& p = {});
 

@@ -1,10 +1,12 @@
 // Unit tests for the common utilities: types helpers, status/result
-// plumbing, bit operations, RNG determinism, timing conversions.
+// plumbing, bit operations, RNG determinism, timing conversions, strict
+// flag parsing.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/bitops.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timing.h"
@@ -190,6 +192,20 @@ TEST(Timing, DefaultsSane) {
   EXPECT_GT(t.noncacheable_access, t.l1_hit);
   EXPECT_GT(t.hvc_roundtrip, t.sysreg_trap / 2);
   EXPECT_GT(t.vm_exit + t.vm_entry, t.hvc_roundtrip);
+}
+
+TEST(Parse, DecimalAcceptsPlainFractionsInRange) {
+  for (const char* ok : {"0.2", ".5", "1.", "16", "0016.0"}) {
+    double v = -1;
+    EXPECT_TRUE(parse_decimal("--scale", ok, 16, &v)) << ok;
+    EXPECT_EQ(v, std::strtod(ok, nullptr)) << ok;
+  }
+  for (const char* bad : {"", ".", "0", "0.0", "16.01", "1.2.3", "1e3",
+                          "nan", "inf", "-1", "+1", " 1", "1 ", "0x1"}) {
+    double v = -1;
+    EXPECT_FALSE(parse_decimal("--scale", bad, 16, &v)) << bad;
+    EXPECT_EQ(v, -1) << bad;  // untouched on rejection
+  }
 }
 
 }  // namespace

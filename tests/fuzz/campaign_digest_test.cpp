@@ -50,25 +50,11 @@ TEST(CampaignDigest, ReferenceModeIsBitIdentical) {
   EXPECT_EQ(r.corpus_digest, kGoldenDigest);
 }
 
-TEST(CampaignDigest, DecoupledModeIsBitIdentical) {
-  // Temporal decoupling (DESIGN.md §14) batches cycle charges on a local
-  // clock and folds on every observation, so every timestamp the digest
-  // folds — fingerprint cycles, alert instants, detection latencies —
-  // must be exact.  The golden digest is the whole-system witness.
-  FuzzOptions opt = canonical_options();
-  opt.decoupled_quantum = kDefaultDecoupledQuantum;
-  const CampaignResult r = run_campaign(opt);
-  EXPECT_EQ(r.failures, 0u);
-  EXPECT_EQ(r.corpus_digest, kGoldenDigest);
-}
-
-TEST(CampaignDigest, DecoupledSnapshotBootOddQuantumIsBitIdentical) {
-  // The stacked fast paths compose: COW boot snapshots + decoupled
-  // charging at an awkward quantum (prime, far from any charge size)
-  // still land on the golden digest.
+TEST(CampaignDigest, SnapshotBootIsBitIdentical) {
+  // The stacked fast paths compose: every case forked from a COW boot
+  // snapshot on the host fast path still lands on the golden digest.
   FuzzOptions opt = canonical_options();
   opt.snapshot_boot = true;
-  opt.decoupled_quantum = 61;
   const CampaignResult r = run_campaign(opt);
   EXPECT_EQ(r.failures, 0u);
   EXPECT_EQ(r.corpus_digest, kGoldenDigest);

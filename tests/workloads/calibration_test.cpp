@@ -85,14 +85,13 @@ TEST(Calibration, Table1AverageSlowdownsInBand) {
 }
 
 TEST(Calibration, Fig6AverageOverheadsInBand) {
-  const char* apps[] = {"whetstone", "dhrystone", "untar", "iozone", "apache"};
   double overhead[2] = {0, 0};
   double native_us[5];
   for (int a = 0; a < 5; ++a) {
     auto sys = make_perf(Mode::kNative);
     AppParams p;
     p.scale = 0.1;
-    native_us[a] = run_app_by_name(*sys, apps[a], p).us;
+    native_us[a] = run_app_by_name(*sys, kAppNames[a], p).us;
   }
   const Mode modes[2] = {Mode::kKvmGuest, Mode::kHypernel};
   for (int m = 0; m < 2; ++m) {
@@ -100,7 +99,8 @@ TEST(Calibration, Fig6AverageOverheadsInBand) {
       auto sys = make_perf(modes[m]);
       AppParams p;
       p.scale = 0.1;
-      overhead[m] += run_app_by_name(*sys, apps[a], p).us / native_us[a] - 1.0;
+      overhead[m] +=
+          run_app_by_name(*sys, kAppNames[a], p).us / native_us[a] - 1.0;
     }
     overhead[m] = 100.0 * overhead[m] / 5;
   }
@@ -113,8 +113,7 @@ TEST(Calibration, Fig6AverageOverheadsInBand) {
 }
 
 TEST(Calibration, Table2RatiosInBand) {
-  const char* apps[] = {"whetstone", "dhrystone", "untar", "iozone", "apache"};
-  for (const char* app : apps) {
+  for (const char* app : kAppNames) {
     u64 counts[2];
     const secapps::Granularity gran[2] = {
         secapps::Granularity::kWholeObject,

@@ -75,7 +75,7 @@ void usage() {
       "                    sequences as structured seeds and mix in the\n"
       "                    control-flow / page-table attack kinds\n"
       "  --audit-stride=N  run Hypersec::audit() every N steps (default 1)\n"
-            "  --jobs=N          worker threads for sequence evaluation (default:\n"
+      "  --jobs=N          worker threads for sequence evaluation (default:\n"
       "                    hardware concurrency; 1 = fully sequential).\n"
       "                    Never changes output, only wall-clock\n"
       "  --cores=N         simulated cores per machine (default 1).  A\n"
@@ -103,10 +103,6 @@ void usage() {
       "  --no-shrink       report original failing sequences unshrunk\n"
       "  --reference       force host-side reference mode (no sim fast\n"
       "                    path); output must stay byte-identical\n"
-      "  --decoupled[=N]   temporally decoupled execution: cycle charges\n"
-      "                    accumulate in a local quantum of N cycles\n"
-      "                    (default 4096) and fold at every observation\n"
-      "                    point; output must stay byte-identical\n"
       "  --profile         host self-time profile (boot/step/dispatch/\n"
       "                    syscall/translate/memory/audit/digest/snapshot)\n"
       "                    rendered to stderr; folded into --metrics-out as\n"
@@ -184,13 +180,6 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->fuzz.capture_trace = true;  // reproducers ship with their trace
     } else if (std::strcmp(arg, "--reference") == 0) {
       opt->fuzz.host_fast_path = false;
-    } else if ((v = arg_value(arg, "--decoupled"))) {
-      if (!hn::parse_u64("--decoupled", v->c_str(),
-                         &opt->fuzz.decoupled_quantum)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--decoupled") == 0) {
-      opt->fuzz.decoupled_quantum = hn::fuzz::kDefaultDecoupledQuantum;
     } else if (std::strcmp(arg, "--profile") == 0) {
       opt->fuzz.profile = true;
     } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
@@ -216,32 +205,35 @@ bool parse(int argc, char** argv, Options* opt) {
   return true;
 }
 
-int replay(const Options& opt) {
-  auto specs = hn::fuzz::build_matrix(opt.fuzz.full_matrix);
+/// Apply the command line's per-configuration options to `specs` and
+/// return the executor options a replay runs them with.
+hn::fuzz::ExecutorOptions replay_setup(
+    const Options& opt, std::vector<hn::fuzz::FuzzConfigSpec>& specs) {
   for (auto& spec : specs) {
     spec.host_fast_path = opt.fuzz.host_fast_path;
-    spec.decoupled_quantum = opt.fuzz.decoupled_quantum;
     spec.cores = opt.fuzz.cores;
   }
-  hn::fuzz::GeneratorOptions gen{.ops = opt.fuzz.ops,
-                                 .attacks = opt.fuzz.attacks,
-                                 .forged = opt.fuzz.forged};
   hn::fuzz::ExecutorOptions exec{.inject_bypass = opt.fuzz.inject_bypass,
                                  .audit_stride = opt.fuzz.audit_stride};
   exec.capture_trace = !opt.trace_out.empty();
   exec.snapshot_boot = opt.fuzz.snapshot_boot;
   exec.profile = opt.fuzz.profile;
   exec.sample_cycles = opt.fuzz.sample_cycles;
-  const auto ops = hn::fuzz::generate_sequence(*opt.replay_seed, gen);
-  std::printf("replaying sequence seed %llu (%zu ops, %zu configurations)\n",
-              static_cast<unsigned long long>(*opt.replay_seed), ops.size(),
-              specs.size());
+  return exec;
+}
+
+void print_ops(const std::vector<hn::fuzz::Op>& ops) {
   for (size_t i = 0; i < ops.size(); ++i) {
     std::printf("  [%zu] %s\n", i, hn::fuzz::describe(ops[i]).c_str());
   }
-  std::vector<hn::fuzz::RunResult> runs;
-  hn::fuzz::OracleReport report = hn::fuzz::run_sequence_seed(
-      *opt.replay_seed, gen, specs, exec, &runs);
+}
+
+/// Shared tail of both replay paths: the profile, the first run's trace
+/// and time series, and the oracle verdict (exit 0 clean, 1 findings).
+int finish_replay(const Options& opt,
+                  const std::vector<hn::fuzz::FuzzConfigSpec>& specs,
+                  const std::vector<hn::fuzz::RunResult>& runs,
+                  const hn::fuzz::OracleReport& report) {
   if (opt.fuzz.profile) {
     hn::obs::ProfileReport merged;
     for (const hn::fuzz::RunResult& run : runs) merged.merge(run.profile);
@@ -277,6 +269,23 @@ int replay(const Options& opt) {
   return 1;
 }
 
+int replay(const Options& opt) {
+  auto specs = hn::fuzz::build_matrix(opt.fuzz.full_matrix);
+  const hn::fuzz::ExecutorOptions exec = replay_setup(opt, specs);
+  hn::fuzz::GeneratorOptions gen{.ops = opt.fuzz.ops,
+                                 .attacks = opt.fuzz.attacks,
+                                 .forged = opt.fuzz.forged};
+  const auto ops = hn::fuzz::generate_sequence(*opt.replay_seed, gen);
+  std::printf("replaying sequence seed %llu (%zu ops, %zu configurations)\n",
+              static_cast<unsigned long long>(*opt.replay_seed), ops.size(),
+              specs.size());
+  print_ops(ops);
+  std::vector<hn::fuzz::RunResult> runs;
+  const hn::fuzz::OracleReport report = hn::fuzz::run_sequence_seed(
+      *opt.replay_seed, gen, specs, exec, &runs);
+  return finish_replay(opt, specs, runs, report);
+}
+
 /// Replay an explicit op program (the attack-corpus seed format) under
 /// the standard matrix plus the three detector configurations, with both
 /// oracles armed.  This is the repro path for scorecard and corpus
@@ -295,23 +304,11 @@ int replay_file(const Options& opt) {
   for (hn::fuzz::FuzzConfigSpec& spec : hn::attacks::detector_configs()) {
     specs.push_back(spec);
   }
-  for (auto& spec : specs) {
-    spec.host_fast_path = opt.fuzz.host_fast_path;
-    spec.decoupled_quantum = opt.fuzz.decoupled_quantum;
-    spec.cores = opt.fuzz.cores;
-  }
-  hn::fuzz::ExecutorOptions exec{.inject_bypass = opt.fuzz.inject_bypass,
-                                 .audit_stride = opt.fuzz.audit_stride};
-  exec.capture_trace = !opt.trace_out.empty();
-  exec.snapshot_boot = opt.fuzz.snapshot_boot;
-  exec.profile = opt.fuzz.profile;
-  exec.sample_cycles = opt.fuzz.sample_cycles;
+  const hn::fuzz::ExecutorOptions exec = replay_setup(opt, specs);
 
   std::printf("replaying %s (%zu ops, %zu configurations)\n",
               opt.replay_file.c_str(), ops.size(), specs.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    std::printf("  [%zu] %s\n", i, hn::fuzz::describe(ops[i]).c_str());
-  }
+  print_ops(ops);
   std::vector<hn::fuzz::RunResult> runs;
   runs.reserve(specs.size());
   for (const auto& spec : specs) {
@@ -327,40 +324,8 @@ int replay_file(const Options& opt) {
                   static_cast<unsigned long long>(a.at));
     }
   }
-  if (opt.fuzz.profile) {
-    hn::obs::ProfileReport merged;
-    for (const hn::fuzz::RunResult& run : runs) merged.merge(run.profile);
-    std::fprintf(stderr, "profile (replay self-time):\n%s",
-                 hn::obs::render_profile(merged).c_str());
-  }
-  if (!opt.trace_out.empty() && !runs.empty()) {
-    if (hn::sim::write_trace_file(runs[0].trace_blob, opt.trace_out)) {
-      std::fprintf(stderr, "trace: %s trace written to %s\n",
-                   specs[0].name.c_str(), opt.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n",
-                   opt.trace_out.c_str());
-    }
-  }
-  if (!opt.timeseries_out.empty() && !runs.empty()) {
-    if (hn::obs::write_timeseries_file(runs[0].timeseries_blob,
-                                       opt.timeseries_out)) {
-      std::fprintf(stderr, "timeseries: %s stream written to %s\n",
-                   specs[0].name.c_str(), opt.timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "timeseries: failed to write %s\n",
-                   opt.timeseries_out.c_str());
-    }
-  }
-  hn::fuzz::OracleReport report = hn::fuzz::check_sequence(ops, specs, runs);
-  if (report.ok()) {
-    std::puts("clean: all oracles passed");
-    return 0;
-  }
-  for (const std::string& finding : report.findings) {
-    std::printf("finding: %s\n", finding.c_str());
-  }
-  return 1;
+  return finish_replay(opt, specs, runs,
+                       hn::fuzz::check_sequence(ops, specs, runs));
 }
 
 /// One self-contained reproducer file per failing sequence: everything a

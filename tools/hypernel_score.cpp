@@ -36,13 +36,10 @@ void usage() {
       "  --no-trace        skip flight-recorder capture and causal\n"
       "                    attribution (faster; attribution not required\n"
       "                    for the exit code)\n"
-            "  --snapshot-boot   fork cells from per-configuration boot\n"
+      "  --snapshot-boot   fork cells from per-configuration boot\n"
       "                    snapshots (COW restore) instead of re-booting\n"
       "  --cores=N         simulated cores per machine (default 1); N > 1\n"
       "                    adds the cross-core scenario rows\n"
-      "  --decoupled[=N]   temporally decoupled execution (local charge\n"
-      "                    quantum of N cycles, default 4096); the JSON\n"
-      "                    report must stay byte-identical\n"
       "  --sample-cycles[=N]\n"
       "                    sample time-series tracks every N simulated\n"
       "                    cycles (default 65536); pairs with\n"
@@ -85,12 +82,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--cores must be in [1, 8]\n");
         return 2;
       }
-    } else if (std::strncmp(arg, "--decoupled=", 12) == 0) {
-      if (!hn::parse_u64("--decoupled", arg + 12, &opt.decoupled_quantum)) {
-        return usage_error();
-      }
-    } else if (std::strcmp(arg, "--decoupled") == 0) {
-      opt.decoupled_quantum = hn::fuzz::kDefaultDecoupledQuantum;
     } else if (std::strncmp(arg, "--sample-cycles=", 16) == 0) {
       if (!hn::parse_u64("--sample-cycles", arg + 16, &opt.sample_cycles)) {
         return usage_error();
@@ -117,7 +108,7 @@ int main(int argc, char** argv) {
   std::fputs(hn::attacks::render_scorecard(score).c_str(), stdout);
   if (opt.profile) {
     // Host wall clock goes to stderr: stdout (table, digest) must stay
-    // byte-identical across hosts, jobs, and decoupled mode.
+    // byte-identical across hosts and jobs.
     std::fprintf(stderr, "profile (scorecard self-time):\n%s",
                  hn::obs::render_profile(score.profile).c_str());
   }

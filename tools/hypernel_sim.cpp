@@ -7,6 +7,7 @@
 //   hypernel-sim attack   --scenario=<cred|dentry|transient|dma>
 //   hypernel-sim audit    (forged-hypercall storm + invariant audit)
 //   hypernel-sim info     (configuration and timing-model dump)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,6 +52,9 @@ struct Options {
   std::string load_state;  // restore a machine snapshot right after boot
 };
 
+/// Largest --scale: 16x the paper-sized runs.
+constexpr double kMaxAppScale = 16;
+
 const char* arg_value(const char* arg, const char* key) {
   const size_t n = std::strlen(key);
   if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') return arg + n + 1;
@@ -74,9 +78,16 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (const char* v2 = arg_value(argv[i], "--iters")) {
       if (!parse_u64("--iters", v2, &opt.iters)) return false;
     } else if (const char* v3 = arg_value(argv[i], "--name")) {
+      auto same = [v3](const char* n) { return std::strcmp(n, v3) == 0; };
+      if (std::ranges::none_of(workloads::kAppNames, same)) {
+        std::fprintf(stderr, "unknown app '%s'\n", v3);
+        return false;
+      }
       opt.name = v3;
     } else if (const char* v4 = arg_value(argv[i], "--scale")) {
-      opt.scale = std::atof(v4);
+      if (!parse_decimal("--scale", v4, kMaxAppScale, &opt.scale)) {
+        return false;
+      }
     } else if (const char* v5 = arg_value(argv[i], "--seed")) {
       if (!parse_u64("--seed", v5, &opt.seed)) return false;
     } else if (const char* v6 = arg_value(argv[i], "--monitor")) {
@@ -385,6 +396,7 @@ void usage() {
       "  lmbench [--mode=native|kvm|hypernel] [--iters=N]\n"
       "  app     --name=<whetstone|dhrystone|untar|iozone|apache>\n"
       "          [--mode=...] [--scale=X] [--seed=N] [--monitor=none|word|object]\n"
+      "          (X: decimal in (0, 16]; 1 = paper-sized run, default 0.2)\n"
       "  attack  --scenario=<cred|dentry|transient|dma> [--trace]\n"
       "  audit   [--seed=N]\n"
       "  info    [--mode=...]\n"
