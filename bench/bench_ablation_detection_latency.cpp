@@ -180,7 +180,8 @@ int cross_check_trace(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hn::bench::BenchArgs bench_args = hn::bench::parse_args(argc, argv);
+  const hn::tools::RunOptions bench_args =
+      hn::bench::parse_args(argc, argv);
   std::printf("Ablation: event-triggered (MBM) vs snapshot integrity "
               "monitoring\n");
   std::printf("4 persistent + 4 transient attacks injected into a running "

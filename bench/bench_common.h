@@ -1,5 +1,6 @@
-// Shared helpers for the benchmark harnesses: system construction per
-// evaluation configuration, paper-reference tables, and the parallel
+// Shared helpers for the benchmark harnesses: the common run flags and
+// per-cell artifacts (parsed and written by tools/run_options.h), system
+// construction per evaluation configuration, and the parallel
 // config-matrix driver.
 //
 // Every bench cell (one mode x benchmark x granularity point) builds its
@@ -11,72 +12,50 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/parse.h"
 #include "exec/sharded_runner.h"
 #include "hypernel/system.h"
-#include "obs/export.h"
-#include "obs/timeseries.h"
 #include "sim/trace_io.h"
+#include "tools/run_options.h"
 
 namespace hn::bench {
 
-/// Command-line arguments every bench driver accepts.
-struct BenchArgs {
-  unsigned jobs = 0;           // 0 = hardware concurrency
-  std::string metrics_out;     // empty = observability off
-  std::string trace_out;       // empty = flight recorder off
-  std::string timeseries_out;  // empty = time-series sampling off
-  Cycles sample_cycles = 0;    // 0 = default when timeseries_out set
-};
+/// The common flags every bench driver takes (tools/run_options.h).
+inline constexpr unsigned kBenchFlags =
+    tools::kJobsFlag | tools::kMetricsOutFlag | tools::kTraceOutFlag |
+    tools::kSampleCyclesFlag | tools::kTimeseriesOutFlag;
 
 namespace detail {
 
-inline BenchArgs& args() {
-  static BenchArgs a;
+inline tools::RunOptions& args() {
+  static tools::RunOptions a;
   return a;
 }
 
-/// Per-cell metrics snapshots, keyed by cell index so the final fold
-/// happens in index order regardless of which worker finished when.
-struct MetricsSink {
+/// Per-cell artifacts, keyed by cell index so the final fold happens in
+/// index order regardless of which worker finished when.  Metrics fold
+/// over every cell; --trace-out and --timeseries-out take the lowest-index
+/// cell's blob, so every exported file is jobs-independent.
+struct CellSink {
   std::mutex mu;
-  std::map<u64, obs::Snapshot> cells;
+  std::map<u64, obs::Snapshot> metrics;
+  std::map<u64, std::vector<u8>> traces;
+  std::map<u64, std::vector<u8>> timeseries;
 };
 
-inline MetricsSink& metrics_sink() {
-  static MetricsSink s;
+inline CellSink& sink() {
+  static CellSink s;
   return s;
 }
 
-/// Per-cell flight-recorder blobs; the lowest-index cell's trace is what
-/// --trace-out writes, so the exported file is jobs-independent.
-struct TraceSink {
-  std::mutex mu;
-  std::map<u64, std::vector<u8>> cells;
-};
-
-inline TraceSink& trace_sink() {
-  static TraceSink s;
-  return s;
-}
-
-/// Per-cell HNTSERIE streams, same lowest-index-wins contract as the
-/// trace sink, so --timeseries-out is jobs-independent too.
-struct TimeSeriesSink {
-  std::mutex mu;
-  std::map<u64, std::vector<u8>> cells;
-};
-
-inline TimeSeriesSink& timeseries_sink() {
-  static TimeSeriesSink s;
-  return s;
+/// The lowest-index cell's blob, moved out (empty when none recorded).
+inline std::vector<u8> take_first(std::map<u64, std::vector<u8>>& cells) {
+  return cells.empty() ? std::vector<u8>{} : std::move(cells.begin()->second);
 }
 
 }  // namespace detail
@@ -93,56 +72,45 @@ inline TimeSeriesSink& timeseries_sink() {
   return !detail::args().timeseries_out.empty();
 }
 
-/// Effective sampling interval: --sample-cycles if given, else the
-/// library default when --timeseries-out asked for a stream, else 0.
-[[nodiscard]] inline Cycles sample_interval() {
-  const BenchArgs& a = detail::args();
-  if (a.sample_cycles != 0) return a.sample_cycles;
-  return a.timeseries_out.empty() ? 0 : obs::kDefaultSampleCycles;
+namespace detail {
+
+inline std::unique_ptr<hypernel::System> make_system(hypernel::Mode mode,
+                                                     bool enable_mbm) {
+  hypernel::SystemConfig cfg;
+  cfg.mode = mode;
+  cfg.enable_mbm = enable_mbm;
+  cfg.metrics = metrics_enabled() || trace_enabled();
+  cfg.machine.sample_cycles = args().sample_cycles;
+  auto sys = hypernel::System::create(cfg);
+  if (!sys.ok()) {
+    std::fprintf(stderr, "system creation failed: %s\n",
+                 sys.status().message().c_str());
+    std::abort();
+  }
+  if (trace_enabled()) sys.value()->machine().trace().set_enabled(true);
+  return std::move(sys).value();
 }
+
+}  // namespace detail
 
 /// Build a system in the §7.1 performance setup: Hypersec without the MBM
 /// ("only Hypersec is working in the case of Hypernel").
 inline std::unique_ptr<hypernel::System> make_perf_system(hypernel::Mode mode) {
-  hypernel::SystemConfig cfg;
-  cfg.mode = mode;
-  cfg.enable_mbm = false;
-  cfg.metrics = metrics_enabled() || trace_enabled();
-  cfg.machine.sample_cycles = sample_interval();
-  auto sys = hypernel::System::create(cfg);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "system creation failed: %s\n",
-                 sys.status().message().c_str());
-    std::abort();
-  }
-  if (trace_enabled()) sys.value()->machine().trace().set_enabled(true);
-  return std::move(sys).value();
+  return detail::make_system(mode, /*enable_mbm=*/false);
 }
 
 /// Build a system in the §7.2 monitoring setup: Hypernel with the MBM.
 inline std::unique_ptr<hypernel::System> make_monitor_system() {
-  hypernel::SystemConfig cfg;
-  cfg.mode = hypernel::Mode::kHypernel;
-  cfg.enable_mbm = true;
-  cfg.metrics = metrics_enabled() || trace_enabled();
-  cfg.machine.sample_cycles = sample_interval();
-  auto sys = hypernel::System::create(cfg);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "system creation failed: %s\n",
-                 sys.status().message().c_str());
-    std::abort();
-  }
-  if (trace_enabled()) sys.value()->machine().trace().set_enabled(true);
-  return std::move(sys).value();
+  return detail::make_system(hypernel::Mode::kHypernel, /*enable_mbm=*/true);
 }
 
 /// Stash one cell's metrics snapshot.  Safe from any worker thread;
 /// no-op unless --metrics-out was given.
 inline void record_cell_metrics(u64 index, const obs::Snapshot& snap) {
   if (!metrics_enabled()) return;
-  detail::MetricsSink& sink = detail::metrics_sink();
+  detail::CellSink& sink = detail::sink();
   std::lock_guard<std::mutex> lock(sink.mu);
-  sink.cells[index].merge(snap);
+  sink.metrics[index].merge(snap);
 }
 
 /// Stash one cell's pre-serialized flight-recorder blob — for drivers
@@ -150,80 +118,41 @@ inline void record_cell_metrics(u64 index, const obs::Snapshot& snap) {
 /// the blob from RunResult instead of a live System).
 inline void record_cell_trace(u64 index, std::vector<u8> blob) {
   if (!trace_enabled() || blob.empty()) return;
-  detail::TraceSink& sink = detail::trace_sink();
+  detail::CellSink& sink = detail::sink();
   std::lock_guard<std::mutex> lock(sink.mu);
-  sink.cells.emplace(index, std::move(blob));
+  sink.traces.emplace(index, std::move(blob));
 }
 
 /// Convenience overload: snapshot a System's registry before it dies.
-/// Also stashes the cell's flight-recorder blob when --trace-out is on.
+/// Also stashes the cell's flight-recorder blob when --trace-out is on
+/// and its time-series stream when --timeseries-out is.
 inline void record_cell_metrics(u64 index, hypernel::System& sys) {
   if (trace_enabled()) {
-    detail::TraceSink& sink = detail::trace_sink();
-    std::lock_guard<std::mutex> lock(sink.mu);
-    sink.cells.emplace(index, sim::capture_trace(sys.machine()));
+    record_cell_trace(index, sim::capture_trace(sys.machine()));
   }
   if (timeseries_enabled()) {
-    detail::TimeSeriesSink& sink = detail::timeseries_sink();
+    std::vector<u8> stream = sim::capture_timeseries(sys.machine());
+    detail::CellSink& sink = detail::sink();
     std::lock_guard<std::mutex> lock(sink.mu);
-    sink.cells.emplace(index, sim::capture_timeseries(sys.machine()));
+    sink.timeseries.emplace(index, std::move(stream));
   }
-  if (!metrics_enabled()) return;
-  record_cell_metrics(index, sys.metrics_snapshot());
+  if (metrics_enabled()) record_cell_metrics(index, sys.metrics_snapshot());
 }
 
-/// Fold every recorded cell (index order) and write --metrics-out.
-/// Returns 0, or 1 on I/O failure — benches `return write_bench_metrics()`
-/// (or combine it with their own exit code) as their last statement.
+/// Fold every recorded cell (index order) and write the artifacts the
+/// command line asked for.  Returns 0, or 2 if a write failed (the exit
+/// code of a failed artifact write on every front end; benches used to
+/// return 1) — benches `return write_bench_metrics()` (or combine it with
+/// their own exit code) as their last statement.
 inline int write_bench_metrics() {
-  if (trace_enabled()) {
-    detail::TraceSink& traces = detail::trace_sink();
-    std::lock_guard<std::mutex> lock(traces.mu);
-    const std::string& path = detail::args().trace_out;
-    if (traces.cells.empty()) {
-      std::fprintf(stderr, "trace: no cell recorded a trace; %s not written\n",
-                   path.c_str());
-    } else if (!sim::write_trace_file(traces.cells.begin()->second, path)) {
-      std::fprintf(stderr, "trace: failed to write %s\n", path.c_str());
-      return 1;
-    } else {
-      std::fprintf(stderr, "trace: cell %llu trace written to %s\n",
-                   static_cast<unsigned long long>(traces.cells.begin()->first),
-                   path.c_str());
-    }
-  }
-  if (timeseries_enabled()) {
-    detail::TimeSeriesSink& streams = detail::timeseries_sink();
-    std::lock_guard<std::mutex> lock(streams.mu);
-    const std::string& path = detail::args().timeseries_out;
-    if (streams.cells.empty()) {
-      std::fprintf(stderr,
-                   "timeseries: no cell recorded a stream; %s not written\n",
-                   path.c_str());
-    } else if (!obs::write_timeseries_file(streams.cells.begin()->second,
-                                           path)) {
-      std::fprintf(stderr, "timeseries: failed to write %s\n", path.c_str());
-      return 1;
-    } else {
-      std::fprintf(
-          stderr, "timeseries: cell %llu stream written to %s\n",
-          static_cast<unsigned long long>(streams.cells.begin()->first),
-          path.c_str());
-    }
-  }
-  if (!metrics_enabled()) return 0;
-  detail::MetricsSink& sink = detail::metrics_sink();
+  detail::CellSink& sink = detail::sink();
   std::lock_guard<std::mutex> lock(sink.mu);
   obs::Snapshot total;
-  for (const auto& [index, snap] : sink.cells) total.merge(snap);
-  const std::string& path = detail::args().metrics_out;
-  if (!obs::write_metrics_file(total, path)) {
-    std::fprintf(stderr, "metrics: failed to write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "metrics: %zu entries (%zu cells) written to %s\n",
-               total.entries.size(), sink.cells.size(), path.c_str());
-  return 0;
+  for (const auto& [index, snap] : sink.metrics) total.merge(snap);
+  const bool ok = tools::write_artifacts(
+      detail::args(), total, detail::take_first(sink.traces),
+      detail::take_first(sink.timeseries), "first-cell");
+  return ok ? 0 : 2;
 }
 
 inline void print_rule(int width = 78) {
@@ -234,49 +163,25 @@ inline void print_rule(int width = 78) {
 /// For drivers whose framework owns the command line (google-benchmark):
 /// extract the common bench flags from argv, compacting it in place, and
 /// leave every other argument for the caller's own parser.  A malformed
-/// number (common/parse.h) is a usage error: exit 2.
-inline BenchArgs parse_and_strip_args(int* argc, char** argv) {
-  BenchArgs parsed;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    bool ok = true;
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      ok = parse_u64("--jobs", arg + 7, &parsed.jobs);
-    } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-      parsed.metrics_out = arg + 14;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      parsed.trace_out = arg + 12;
-    } else if (std::strncmp(arg, "--timeseries-out=", 17) == 0) {
-      parsed.timeseries_out = arg + 17;
-    } else if (std::strncmp(arg, "--sample-cycles=", 16) == 0) {
-      ok = parse_u64("--sample-cycles", arg + 16, &parsed.sample_cycles);
-    } else if (std::strcmp(arg, "--sample-cycles") == 0) {
-      parsed.sample_cycles = obs::kDefaultSampleCycles;
-    } else {
-      argv[out++] = argv[i];
-    }
-    if (!ok) std::exit(2);
+/// value is a usage error: exit 2.
+inline void parse_and_strip_args(int* argc, char** argv) {
+  if (!tools::strip_run_flags(argc, argv, kBenchFlags, &detail::args())) {
+    std::exit(2);
   }
-  *argc = out;
-  detail::args() = parsed;
-  return parsed;
 }
 
 /// Parse the common bench arguments from argv, storing them where
 /// make_*_system / record_cell_metrics / write_bench_metrics can see
 /// them.  Any other argument is a usage error (exit 2), so typos don't
 /// silently run the default.
-inline BenchArgs parse_args(int argc, char** argv) {
-  const BenchArgs parsed = parse_and_strip_args(&argc, argv);
+inline tools::RunOptions parse_args(int argc, char** argv) {
+  parse_and_strip_args(&argc, argv);
   if (argc > 1) {
-    std::fprintf(stderr,
-                 "usage: %s [--jobs=N] [--metrics-out=F] [--trace-out=F]\n"
-                 "          [--timeseries-out=F] [--sample-cycles[=N]]\n",
-                 argv[0]);
+    std::fprintf(stderr, "unknown argument '%s'\nusage: %s [options]\n%s",
+                 argv[1], argv[0], tools::run_flags_usage(kBenchFlags).c_str());
     std::exit(2);
   }
-  return parsed;
+  return detail::args();
 }
 
 /// Run `fn(i)` for every cell i in [0, n) across `jobs` workers (0 =

@@ -33,7 +33,7 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_args(argc, argv);
+  const tools::RunOptions args = bench::parse_args(argc, argv);
 
   std::vector<fuzz::FuzzConfigSpec> specs;
   {

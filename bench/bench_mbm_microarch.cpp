@@ -120,8 +120,8 @@ BENCHMARK(BM_SnoopPipeline)->Arg(1)->Arg(50)->Arg(500);
 
 }  // namespace
 
-// Custom main: peel off the repo-common --metrics-out/--jobs flags before
-// google-benchmark sees (and rejects) them.
+// Custom main: peel off the common run flags before google-benchmark sees
+// (and rejects) them.
 int main(int argc, char** argv) {
   hn::bench::parse_and_strip_args(&argc, argv);
   benchmark::Initialize(&argc, argv);

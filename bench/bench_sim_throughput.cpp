@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/parse.h"
 #include "common/stopwatch.h"
 #include "fuzz/fuzzer.h"
 #include "sim/machine.h"
@@ -532,8 +533,8 @@ void write_json(const std::string& path, bool quick,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off the repo-common flags (--metrics-out, --jobs) first; the
-  // remaining flags are this bench's own.
+  // Peel off the common run flags first; the remaining flags are this
+  // bench's own.
   hn::bench::parse_and_strip_args(&argc, argv);
   bool quick = false;
   std::string out = "BENCH_sim_throughput.json";
@@ -546,10 +547,9 @@ int main(int argc, char** argv) {
       if (!hn::parse_u64("--repeat", argv[i] + 9, &g_repeat)) return 2;
       if (g_repeat == 0) g_repeat = 1;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--repeat=N] [--out=PATH] "
-                   "[--metrics-out=PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--repeat=N] [--out=PATH]\n%s",
+                   argv[0],
+                   hn::tools::run_flags_usage(hn::bench::kBenchFlags).c_str());
       return 2;
     }
   }

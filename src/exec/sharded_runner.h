@@ -25,6 +25,7 @@
 // rethrows after the run drains.  No result is partially merged.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <exception>
@@ -43,7 +44,8 @@ namespace hn::exec {
 struct ShardOptions {
   /// Worker threads; 0 = ThreadPool::default_parallelism().  With 1 the
   /// runner degenerates to the plain sequential loop on the calling
-  /// thread — no pool, no queue, today's exact behaviour.
+  /// thread — no pool, no queue, today's exact behaviour.  The pool never
+  /// starts more workers than there are shards.
   unsigned jobs = 1;
   /// Indices per submitted job.  1 maximizes load balance; larger shards
   /// amortize queue traffic when fn is very cheap.
@@ -94,6 +96,8 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
 
   const u64 shard = opt.shard_size == 0 ? 1 : opt.shard_size;
   const u64 num_shards = (n + shard - 1) / shard;
+  // A worker beyond one per shard would never get a job.
+  const auto workers = static_cast<unsigned>(std::min<u64>(jobs, num_shards));
   std::latch done(static_cast<std::ptrdiff_t>(num_shards));
   std::atomic<bool> cancel{false};
   std::atomic<u64> run_count{0};
@@ -104,7 +108,7 @@ std::vector<Result> run_sharded(u64 n, Fn&& fn, FailFn&& failed,
   u64 first_err_index = ~0ull;
 
   {
-    ThreadPool pool(jobs, /*queue_capacity=*/2 * jobs);
+    ThreadPool pool(workers, /*queue_capacity=*/2 * workers);
     for (u64 lo = 0; lo < n; lo += shard) {
       const u64 hi = lo + shard < n ? lo + shard : n;
       pool.submit([&, lo, hi] {

@@ -310,5 +310,16 @@ TEST(ShardedRunner, ReportsPerRunWorkerStats) {
   EXPECT_EQ(jobs, 20u);
 }
 
+TEST(ShardedRunner, StartsNoMoreWorkersThanShards) {
+  // A large --jobs over a few cells must not ask the OS for idle threads.
+  ShardOptions opt;
+  opt.jobs = 64;
+  ShardReport report;
+  const std::vector<u64> got =
+      run_sharded<u64>(3, [](u64 i) { return i + 7; }, opt, &report);
+  EXPECT_EQ(got, (std::vector<u64>{7, 8, 9}));
+  EXPECT_LE(report.workers.size(), 3u);
+}
+
 }  // namespace
 }  // namespace hn::exec

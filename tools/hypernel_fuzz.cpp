@@ -14,6 +14,9 @@
 // lines, failure reports, the summary — is byte-identical at any job
 // count.  Host-side throughput stats go to stderr.
 //
+// It takes all eight common run flags (tools/run_options.h); a failed
+// artifact write exits 2, on the campaign and both replay paths.
+//
 //   hypernel_fuzz --seed=1 --sequences=50            # campaign
 //   hypernel_fuzz --seed=1 --sequences=50 --jobs=4   # same output, faster
 //   hypernel_fuzz --seed=1 --sequences=50 --matrix=full
@@ -32,35 +35,26 @@
 #include "attacks/scorecard.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/seed_io.h"
-#include "obs/export.h"
-#include "obs/timeseries.h"
+#include "obs/profile.h"
 #include "sim/trace_io.h"
+#include "tools/run_options.h"
 
 namespace {
 
 using hn::fuzz::CampaignResult;
 using hn::fuzz::FuzzOptions;
+using hn::tools::flag_value;
 
 struct Options {
   FuzzOptions fuzz;
+  hn::tools::RunOptions run;
   std::optional<hn::u64> replay_seed;
   std::string replay_file;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string timeseries_out;
   std::string failure_dir;
 };
 
-std::optional<std::string> arg_value(const char* arg, const char* name) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    return std::string(arg + n + 1);
-  }
-  return std::nullopt;
-}
-
 void usage() {
-  std::puts(
+  std::fputs(
       "usage: hypernel_fuzz [options]\n"
       "  --seed=N          campaign master seed (default 1)\n"
       "  --sequences=N     number of sequences to run (default 10)\n"
@@ -75,115 +69,65 @@ void usage() {
       "                    sequences as structured seeds and mix in the\n"
       "                    control-flow / page-table attack kinds\n"
       "  --audit-stride=N  run Hypersec::audit() every N steps (default 1)\n"
-      "  --jobs=N          worker threads for sequence evaluation (default:\n"
-      "                    hardware concurrency; 1 = fully sequential).\n"
-      "                    Never changes output, only wall-clock\n"
-      "  --cores=N         simulated cores per machine (default 1).  A\n"
-      "                    differential dimension: cross-core interleaving\n"
-      "                    with deterministic bus arbitration; output is\n"
-      "                    reproducible at any --jobs for a fixed N\n"
-      "  --metrics-out=F   collect observability metrics across the campaign\n"
-      "                    and write the folded snapshot to F (.csv = CSV,\n"
-      "                    anything else = JSON)\n"
-      "  --trace-out=F     write a causal flight-recorder trace to F: the\n"
-      "                    first failure's reproducer, or sequence 0 under\n"
-      "                    the reference config when the campaign is clean\n"
-      "                    (render with hypernel_trace)\n"
-      "  --sample-cycles[=N]\n"
-      "                    sample time-series tracks every N simulated\n"
-      "                    cycles (default 65536); pairs with\n"
-      "                    --timeseries-out\n"
-      "  --timeseries-out=F\n"
-      "                    write the sampled HNTSERIE stream (sequence 0,\n"
-      "                    reference config) to F (render with\n"
-      "                    hypernel_trace timeline)\n"
       "  --failure-dir=D   write one reproducer file per failing sequence\n"
       "                    (shrunk ops, replay command, machine trace) to D\n"
       "  --fail-fast       cancel the campaign at the first failing sequence\n"
       "  --no-shrink       report original failing sequences unshrunk\n"
       "  --reference       force host-side reference mode (no sim fast\n"
       "                    path); output must stay byte-identical\n"
-      "  --profile         host self-time profile (boot/step/dispatch/\n"
-      "                    syscall/translate/memory/audit/digest/snapshot)\n"
-      "                    rendered to stderr; folded into --metrics-out as\n"
-      "                    profile.* counters (see hypernel_trace profile)\n"
-      "  --snapshot-boot   fork every case from a per-configuration boot\n"
-      "                    snapshot (COW restore) instead of re-booting;\n"
-      "                    output must stay byte-identical\n"
       "  --no-attacks      generate no attack writes\n"
       "  --no-forged       generate no forged-hypercall probes\n"
       "  --inject-bypass   test hook: attack writes dodge the bus snooper\n"
-      "                    (the detection oracle must catch this)");
+      "                    (the detection oracle must catch this)\n",
+      stdout);
+  std::fputs(hn::tools::run_flags_usage(hn::tools::kAllRunFlags).c_str(),
+             stdout);
+  std::puts(
+      "  Traces and streams: the first failure's reproducer, else sequence 0\n"
+      "  (a replay: its first config).  --profile adds profile.* counters\n"
+      "  to --metrics-out (render with hypernel_trace profile).");
 }
 
 bool parse(int argc, char** argv, Options* opt) {
+  if (!hn::tools::strip_run_flags(&argc, argv, hn::tools::kAllRunFlags,
+                                  &opt->run)) {
+    return false;
+  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    std::optional<std::string> v;
-    if ((v = arg_value(arg, "--seed"))) {
-      if (!hn::parse_u64("--seed", v->c_str(), &opt->fuzz.seed)) return false;
-    } else if ((v = arg_value(arg, "--sequences"))) {
-      if (!hn::parse_u64("--sequences", v->c_str(), &opt->fuzz.sequences)) {
+    const char* v = nullptr;
+    if ((v = flag_value(arg, "--seed"))) {
+      if (!hn::parse_u64("--seed", v, &opt->fuzz.seed)) return false;
+    } else if ((v = flag_value(arg, "--sequences"))) {
+      if (!hn::parse_u64("--sequences", v, &opt->fuzz.sequences)) {
         return false;
       }
-    } else if ((v = arg_value(arg, "--ops"))) {
-      if (!hn::parse_u64("--ops", v->c_str(), &opt->fuzz.ops)) return false;
-    } else if ((v = arg_value(arg, "--matrix"))) {
-      if (*v == "full") {
+    } else if ((v = flag_value(arg, "--ops"))) {
+      if (!hn::parse_u64("--ops", v, &opt->fuzz.ops)) return false;
+    } else if ((v = flag_value(arg, "--matrix"))) {
+      if (std::strcmp(v, "full") == 0) {
         opt->fuzz.full_matrix = true;
-      } else if (*v != "quick") {
-        std::fprintf(stderr, "unknown matrix '%s'\n", v->c_str());
+      } else if (std::strcmp(v, "quick") != 0) {
+        std::fprintf(stderr, "unknown matrix '%s'\n", v);
         return false;
       }
-    } else if ((v = arg_value(arg, "--replay-file"))) {
-      opt->replay_file = *v;
-    } else if ((v = arg_value(arg, "--replay"))) {
+    } else if ((v = flag_value(arg, "--replay-file"))) {
+      opt->replay_file = v;
+    } else if ((v = flag_value(arg, "--replay"))) {
       hn::u64 seed = 0;
-      if (!hn::parse_u64("--replay", v->c_str(), &seed)) return false;
+      if (!hn::parse_u64("--replay", v, &seed)) return false;
       opt->replay_seed = seed;
     } else if (std::strcmp(arg, "--attack-seeds") == 0) {
       opt->fuzz.extended_attacks = true;
       opt->fuzz.scenario_pool = hn::attacks::scenario_pool();
-    } else if ((v = arg_value(arg, "--audit-stride"))) {
-      if (!hn::parse_u64("--audit-stride", v->c_str(),
-                         &opt->fuzz.audit_stride)) {
+    } else if ((v = flag_value(arg, "--audit-stride"))) {
+      if (!hn::parse_u64("--audit-stride", v, &opt->fuzz.audit_stride)) {
         return false;
       }
-    } else if ((v = arg_value(arg, "--jobs"))) {
-      if (!hn::parse_u64("--jobs", v->c_str(), &opt->fuzz.jobs)) return false;
-    } else if ((v = arg_value(arg, "--cores"))) {
-      if (!hn::parse_u64("--cores", v->c_str(), &opt->fuzz.cores)) return false;
-      if (opt->fuzz.cores == 0 || opt->fuzz.cores > 8) {
-        std::fprintf(stderr, "--cores must be in [1, 8]\n");
-        return false;
-      }
-    } else if ((v = arg_value(arg, "--metrics-out"))) {
-      opt->metrics_out = *v;
-      opt->fuzz.collect_metrics = true;
-    } else if ((v = arg_value(arg, "--trace-out"))) {
-      opt->trace_out = *v;
-      opt->fuzz.capture_trace = true;
-    } else if ((v = arg_value(arg, "--sample-cycles"))) {
-      if (!hn::parse_u64("--sample-cycles", v->c_str(),
-                         &opt->fuzz.sample_cycles)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--sample-cycles") == 0) {
-      opt->fuzz.sample_cycles = hn::obs::kDefaultSampleCycles;
-    } else if ((v = arg_value(arg, "--timeseries-out"))) {
-      opt->timeseries_out = *v;
-      if (opt->fuzz.sample_cycles == 0) {
-        opt->fuzz.sample_cycles = hn::obs::kDefaultSampleCycles;
-      }
-    } else if ((v = arg_value(arg, "--failure-dir"))) {
-      opt->failure_dir = *v;
-      opt->fuzz.capture_trace = true;  // reproducers ship with their trace
+    } else if ((v = flag_value(arg, "--failure-dir"))) {
+      opt->failure_dir = v;
     } else if (std::strcmp(arg, "--reference") == 0) {
       opt->fuzz.host_fast_path = false;
-    } else if (std::strcmp(arg, "--profile") == 0) {
-      opt->fuzz.profile = true;
-    } else if (std::strcmp(arg, "--snapshot-boot") == 0) {
-      opt->fuzz.snapshot_boot = true;
     } else if (std::strcmp(arg, "--fail-fast") == 0) {
       opt->fuzz.fail_fast = true;
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
@@ -202,6 +146,16 @@ bool parse(int argc, char** argv, Options* opt) {
       return false;
     }
   }
+  const hn::tools::RunOptions& run = opt->run;
+  opt->fuzz.jobs = run.jobs;
+  opt->fuzz.cores = run.cores;
+  opt->fuzz.sample_cycles = run.sample_cycles;
+  opt->fuzz.profile = run.profile;
+  opt->fuzz.snapshot_boot = run.snapshot_boot;
+  opt->fuzz.collect_metrics = !run.metrics_out.empty();
+  // Reproducers in --failure-dir ship with their trace.
+  opt->fuzz.capture_trace =
+      !run.trace_out.empty() || !opt->failure_dir.empty();
   return true;
 }
 
@@ -213,13 +167,13 @@ hn::fuzz::ExecutorOptions replay_setup(
     spec.host_fast_path = opt.fuzz.host_fast_path;
     spec.cores = opt.fuzz.cores;
   }
-  hn::fuzz::ExecutorOptions exec{.inject_bypass = opt.fuzz.inject_bypass,
-                                 .audit_stride = opt.fuzz.audit_stride};
-  exec.capture_trace = !opt.trace_out.empty();
-  exec.snapshot_boot = opt.fuzz.snapshot_boot;
-  exec.profile = opt.fuzz.profile;
-  exec.sample_cycles = opt.fuzz.sample_cycles;
-  return exec;
+  return {.inject_bypass = opt.fuzz.inject_bypass,
+          .audit_stride = opt.fuzz.audit_stride,
+          .collect_metrics = opt.fuzz.collect_metrics,
+          .capture_trace = !opt.run.trace_out.empty(),
+          .snapshot_boot = opt.fuzz.snapshot_boot,
+          .profile = opt.fuzz.profile,
+          .sample_cycles = opt.fuzz.sample_cycles};
 }
 
 void print_ops(const std::vector<hn::fuzz::Op>& ops) {
@@ -228,8 +182,9 @@ void print_ops(const std::vector<hn::fuzz::Op>& ops) {
   }
 }
 
-/// Shared tail of both replay paths: the profile, the first run's trace
-/// and time series, and the oracle verdict (exit 0 clean, 1 findings).
+/// Shared tail of both replay paths: the profile, the artifacts (the
+/// metrics of every run, the first run's trace and time series) and the
+/// oracle verdict (exit 0 clean, 1 findings, 2 failed artifact write).
 int finish_replay(const Options& opt,
                   const std::vector<hn::fuzz::FuzzConfigSpec>& specs,
                   const std::vector<hn::fuzz::RunResult>& runs,
@@ -240,33 +195,17 @@ int finish_replay(const Options& opt,
     std::fprintf(stderr, "profile (replay self-time):\n%s",
                  hn::obs::render_profile(merged).c_str());
   }
-  if (!opt.trace_out.empty() && !runs.empty()) {
-    if (hn::sim::write_trace_file(runs[0].trace_blob, opt.trace_out)) {
-      std::fprintf(stderr, "trace: %s trace written to %s\n",
-                   specs[0].name.c_str(), opt.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n",
-                   opt.trace_out.c_str());
-    }
-  }
-  if (!opt.timeseries_out.empty() && !runs.empty()) {
-    if (hn::obs::write_timeseries_file(runs[0].timeseries_blob,
-                                       opt.timeseries_out)) {
-      std::fprintf(stderr, "timeseries: %s stream written to %s\n",
-                   specs[0].name.c_str(), opt.timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "timeseries: failed to write %s\n",
-                   opt.timeseries_out.c_str());
-    }
-  }
-  if (report.ok()) {
-    std::puts("clean: all oracles passed");
-    return 0;
-  }
+  hn::obs::Snapshot metrics;
+  for (const hn::fuzz::RunResult& run : runs) metrics.merge(run.metrics);
+  const bool written =
+      hn::tools::write_artifacts(opt.run, metrics, runs[0].trace_blob,
+                                 runs[0].timeseries_blob, specs[0].name);
+  if (report.ok()) std::puts("clean: all oracles passed");
   for (const std::string& finding : report.findings) {
     std::printf("finding: %s\n", finding.c_str());
   }
-  return 1;
+  if (!written) return 2;
+  return report.ok() ? 0 : 1;
 }
 
 int replay(const Options& opt) {
@@ -392,7 +331,6 @@ void write_failure_artifacts(const Options& opt, const CampaignResult& result) {
 
 int main(int argc, char** argv) {
   Options opt;
-  opt.fuzz.jobs = 0;  // CLI default: hardware concurrency (library: 1)
   if (!parse(argc, argv, &opt)) {
     usage();
     return 2;
@@ -429,7 +367,7 @@ int main(int argc, char** argv) {
     // byte-identical across hosts and job counts.
     std::fprintf(stderr, "profile (campaign self-time):\n%s",
                  hn::obs::render_profile(result.profile).c_str());
-    if (!opt.metrics_out.empty()) {
+    if (!opt.run.metrics_out.empty()) {
       // Fold the report into the exported snapshot as profile.* counters,
       // so `hypernel_trace profile` can render it from the JSON.
       hn::obs::Registry reg;
@@ -445,36 +383,9 @@ int main(int argc, char** argv) {
   if (!opt.failure_dir.empty() && !result.failure_details.empty()) {
     write_failure_artifacts(opt, result);
   }
-  if (!opt.metrics_out.empty()) {
-    if (hn::obs::write_metrics_file(result.metrics, opt.metrics_out)) {
-      std::fprintf(stderr, "metrics: %zu entries written to %s\n",
-                   result.metrics.entries.size(), opt.metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "metrics: failed to write %s\n",
-                   opt.metrics_out.c_str());
-      return 2;
-    }
-  }
-  if (!opt.trace_out.empty()) {
-    if (hn::sim::write_trace_file(result.trace_blob, opt.trace_out)) {
-      std::fprintf(stderr, "trace: campaign trace written to %s\n",
-                   opt.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n",
-                   opt.trace_out.c_str());
-      return 2;
-    }
-  }
-  if (!opt.timeseries_out.empty()) {
-    if (hn::obs::write_timeseries_file(result.timeseries_blob,
-                                       opt.timeseries_out)) {
-      std::fprintf(stderr, "timeseries: campaign stream written to %s\n",
-                   opt.timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "timeseries: failed to write %s\n",
-                   opt.timeseries_out.c_str());
-      return 2;
-    }
+  if (!hn::tools::write_artifacts(opt.run, result.metrics, result.trace_blob,
+                                  result.timeseries_blob, "campaign")) {
+    return 2;
   }
   return result.ok() ? 0 : 1;
 }

@@ -7,6 +7,9 @@
 //   hypernel-sim attack   --scenario=<cred|dentry|transient|dma>
 //   hypernel-sim audit    (forged-hypercall storm + invariant audit)
 //   hypernel-sim info     (configuration and timing-model dump)
+//
+// Every command also takes --save-state / --load-state and four common
+// run flags (tools/run_options.h); a bad flag or failed write exits 2.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +21,6 @@
 #include "common/parse.h"
 #include "common/rng.h"
 #include "hypernel/system.h"
-#include "obs/export.h"
 #include "kernel/objects.h"
 #include "kernel/vfs.h"
 #include "secapps/object_monitor.h"
@@ -27,12 +29,18 @@
 #include "sim/iommu.h"
 #include "sim/snapshot.h"
 #include "sim/trace_io.h"
+#include "tools/run_options.h"
 #include "workloads/apps.h"
 #include "workloads/lmbench.h"
 
 namespace {
 
 using namespace hn;
+using tools::flag_value;
+
+constexpr unsigned kRunFlags = tools::kMetricsOutFlag | tools::kTraceOutFlag |
+                               tools::kSampleCyclesFlag |
+                               tools::kTimeseriesOutFlag;
 
 struct Options {
   std::string command;
@@ -44,10 +52,7 @@ struct Options {
   std::string monitor = "none";
   std::string scenario = "cred";
   bool trace = false;
-  std::string metrics_out;
-  std::string trace_out;
-  Cycles sample_cycles = 0;    // 0 = sampling off (unless --timeseries-out)
-  std::string timeseries_out;
+  tools::RunOptions run;
   std::string save_state;  // write a machine snapshot at command exit
   std::string load_state;  // restore a machine snapshot right after boot
 };
@@ -55,17 +60,18 @@ struct Options {
 /// Largest --scale: 16x the paper-sized runs.
 constexpr double kMaxAppScale = 16;
 
-const char* arg_value(const char* arg, const char* key) {
-  const size_t n = std::strlen(key);
-  if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
-
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    if (const char* v = arg_value(argv[i], "--mode")) {
+  // The command stands in for argv[0]: the flags follow it.
+  int flags = argc - 1;
+  if (!tools::strip_run_flags(&flags, argv + 1, kRunFlags, &opt.run)) {
+    return false;
+  }
+  for (int i = 2; i <= flags; ++i) {
+    const char* arg = argv[i];
+    const char* v = nullptr;
+    if ((v = flag_value(arg, "--mode"))) {
       if (std::strcmp(v, "native") == 0) {
         opt.mode = hypernel::Mode::kNative;
       } else if (std::strcmp(v, "kvm") == 0) {
@@ -73,45 +79,45 @@ bool parse(int argc, char** argv, Options& opt) {
       } else if (std::strcmp(v, "hypernel") == 0) {
         opt.mode = hypernel::Mode::kHypernel;
       } else {
+        std::fprintf(stderr, "unknown mode '%s'\n", v);
         return false;
       }
-    } else if (const char* v2 = arg_value(argv[i], "--iters")) {
-      if (!parse_u64("--iters", v2, &opt.iters)) return false;
-    } else if (const char* v3 = arg_value(argv[i], "--name")) {
-      auto same = [v3](const char* n) { return std::strcmp(n, v3) == 0; };
+    } else if ((v = flag_value(arg, "--iters"))) {
+      if (!parse_u64("--iters", v, &opt.iters)) return false;
+      if (opt.iters == 0) {
+        std::fprintf(stderr, "--iters must be at least 1\n");
+        return false;
+      }
+    } else if ((v = flag_value(arg, "--name"))) {
+      auto same = [v](const char* n) { return std::strcmp(n, v) == 0; };
       if (std::ranges::none_of(workloads::kAppNames, same)) {
-        std::fprintf(stderr, "unknown app '%s'\n", v3);
+        std::fprintf(stderr, "unknown app '%s'\n", v);
         return false;
       }
-      opt.name = v3;
-    } else if (const char* v4 = arg_value(argv[i], "--scale")) {
-      if (!parse_decimal("--scale", v4, kMaxAppScale, &opt.scale)) {
+      opt.name = v;
+    } else if ((v = flag_value(arg, "--scale"))) {
+      if (!parse_decimal("--scale", v, kMaxAppScale, &opt.scale)) {
         return false;
       }
-    } else if (const char* v5 = arg_value(argv[i], "--seed")) {
-      if (!parse_u64("--seed", v5, &opt.seed)) return false;
-    } else if (const char* v6 = arg_value(argv[i], "--monitor")) {
-      opt.monitor = v6;
-    } else if (const char* v7 = arg_value(argv[i], "--scenario")) {
-      opt.scenario = v7;
-    } else if (const char* v8 = arg_value(argv[i], "--metrics-out")) {
-      opt.metrics_out = v8;
-    } else if (const char* v9 = arg_value(argv[i], "--trace-out")) {
-      opt.trace_out = v9;
-    } else if (const char* vs = arg_value(argv[i], "--sample-cycles")) {
-      if (!parse_u64("--sample-cycles", vs, &opt.sample_cycles)) return false;
-    } else if (const char* vt = arg_value(argv[i], "--timeseries-out")) {
-      opt.timeseries_out = vt;
-    } else if (std::strcmp(argv[i], "--sample-cycles") == 0) {
-      opt.sample_cycles = obs::kDefaultSampleCycles;
-    } else if (const char* v10 = arg_value(argv[i], "--save-state")) {
-      opt.save_state = v10;
-    } else if (const char* v11 = arg_value(argv[i], "--load-state")) {
-      opt.load_state = v11;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
+    } else if ((v = flag_value(arg, "--seed"))) {
+      if (!parse_u64("--seed", v, &opt.seed)) return false;
+    } else if ((v = flag_value(arg, "--monitor"))) {
+      const std::string monitor = v;
+      if (monitor != "none" && monitor != "word" && monitor != "object") {
+        std::fprintf(stderr, "unknown monitor '%s'\n", v);
+        return false;
+      }
+      opt.monitor = monitor;
+    } else if ((v = flag_value(arg, "--scenario"))) {
+      opt.scenario = v;
+    } else if ((v = flag_value(arg, "--save-state"))) {
+      opt.save_state = v;
+    } else if ((v = flag_value(arg, "--load-state"))) {
+      opt.load_state = v;
+    } else if (std::strcmp(arg, "--trace") == 0) {
       opt.trace = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      std::fprintf(stderr, "unknown argument: %s\n", arg);
       return false;
     }
   }
@@ -124,19 +130,15 @@ std::unique_ptr<hypernel::System> build(const Options& opt, bool want_mbm) {
   cfg.enable_mbm = want_mbm && opt.mode != hypernel::Mode::kKvmGuest;
   // The flight recorder interleaves obs spans on the exported timeline,
   // and spans only record when the registry is enabled.
-  cfg.metrics = !opt.metrics_out.empty() || !opt.trace_out.empty();
-  // --timeseries-out without an explicit interval samples at the default.
-  cfg.machine.sample_cycles =
-      opt.sample_cycles != 0
-          ? opt.sample_cycles
-          : (opt.timeseries_out.empty() ? 0 : obs::kDefaultSampleCycles);
+  cfg.metrics = !opt.run.metrics_out.empty() || !opt.run.trace_out.empty();
+  cfg.machine.sample_cycles = opt.run.sample_cycles;
   auto r = hypernel::System::create(cfg);
   if (!r.ok()) {
     std::fprintf(stderr, "system creation failed: %s\n",
                  r.status().message().c_str());
     std::exit(1);
   }
-  if (!opt.trace_out.empty()) {
+  if (!opt.run.trace_out.empty()) {
     r.value()->machine().trace().set_enabled(true);
   }
   if (!opt.load_state.empty()) {
@@ -177,60 +179,22 @@ bool dump_state(const Options& opt, hypernel::System& sys) {
   return true;
 }
 
-/// Write the system's metrics snapshot when --metrics-out was given.
-/// Returns false (and complains) on I/O failure.
-bool dump_metrics(const Options& opt, hypernel::System& sys) {
-  if (opt.metrics_out.empty()) return true;
-  const obs::Snapshot snap = sys.metrics_snapshot();
-  if (!obs::write_metrics_file(snap, opt.metrics_out)) {
-    std::fprintf(stderr, "metrics: failed to write %s\n",
-                 opt.metrics_out.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "metrics: %zu entries written to %s\n",
-               snap.entries.size(), opt.metrics_out.c_str());
-  return true;
-}
-
-/// Write the flight-recorder trace when --trace-out was given.
-bool dump_trace(const Options& opt, hypernel::System& sys) {
-  if (opt.trace_out.empty()) return true;
-  const std::vector<u8> blob = sim::capture_trace(sys.machine());
-  if (!sim::write_trace_file(blob, opt.trace_out)) {
-    std::fprintf(stderr, "trace: failed to write %s\n",
-                 opt.trace_out.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "trace: %llu event(s) written to %s\n",
-               (unsigned long long)sys.machine().trace().size(),
-               opt.trace_out.c_str());
-  return true;
-}
-
-/// Write the sampled time-series stream when --timeseries-out was given.
-bool dump_timeseries(const Options& opt, hypernel::System& sys) {
-  if (opt.timeseries_out.empty()) return true;
-  const std::vector<u8> blob = sim::capture_timeseries(sys.machine());
-  if (!obs::write_timeseries_file(blob, opt.timeseries_out)) {
-    std::fprintf(stderr, "timeseries: failed to write %s\n",
-                 opt.timeseries_out.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "timeseries: %zu sample(s) x %zu track(s) written to %s\n",
-               sys.machine().timeseries().sample_count(),
-               sys.machine().timeseries().track_count(),
-               opt.timeseries_out.c_str());
-  return true;
-}
-
 /// All exit artifacts (--metrics-out / --trace-out / --timeseries-out /
 /// --save-state), in one place.
 bool dump_outputs(const Options& opt, hypernel::System& sys) {
-  const bool metrics_ok = dump_metrics(opt, sys);
-  const bool trace_ok = dump_trace(opt, sys);
-  const bool timeseries_ok = dump_timeseries(opt, sys);
+  const tools::RunOptions& run = opt.run;
+  const obs::Snapshot metrics =
+      run.metrics_out.empty() ? obs::Snapshot{} : sys.metrics_snapshot();
+  const std::vector<u8> trace = run.trace_out.empty()
+                                    ? std::vector<u8>{}
+                                    : sim::capture_trace(sys.machine());
+  const std::vector<u8> timeseries =
+      run.timeseries_out.empty() ? std::vector<u8>{}
+                                 : sim::capture_timeseries(sys.machine());
+  const bool artifacts_ok =
+      tools::write_artifacts(run, metrics, trace, timeseries, opt.command);
   const bool state_ok = dump_state(opt, sys);
-  return metrics_ok && trace_ok && timeseries_ok && state_ok;
+  return artifacts_ok && state_ok;
 }
 
 int cmd_lmbench(const Options& opt) {
@@ -390,8 +354,7 @@ int cmd_info(const Options& opt) {
 }
 
 void usage() {
-  std::fprintf(
-      stderr,
+  std::fputs(
       "usage: hypernel-sim <command> [options]\n"
       "  lmbench [--mode=native|kvm|hypernel] [--iters=N]\n"
       "  app     --name=<whetstone|dhrystone|untar|iozone|apache>\n"
@@ -400,15 +363,11 @@ void usage() {
       "  attack  --scenario=<cred|dentry|transient|dma> [--trace]\n"
       "  audit   [--seed=N]\n"
       "  info    [--mode=...]\n"
-      "  any command also accepts --metrics-out=F (JSON, or CSV when F\n"
-      "  ends in .csv): observability metrics of the run,\n"
-      "  --sample-cycles[=N] / --timeseries-out=F: sample every enrolled\n"
-      "  time-series track every N simulated cycles (default 65536) and\n"
-      "  write the HNTSERIE stream to F (render with hypernel_trace\n"
-      "  timeline; also embedded in --trace-out traces), and\n"
       "  --save-state=F / --load-state=F: write the machine snapshot at\n"
       "  exit / restore one right after boot (the configuration must match\n"
-      "  the one the snapshot was taken from)\n");
+      "  the one the snapshot was taken from).  Every command also takes:\n",
+      stderr);
+  std::fputs(tools::run_flags_usage(kRunFlags).c_str(), stderr);
 }
 
 }  // namespace

@@ -18,16 +18,12 @@
 #include "obs/profile.h"
 #include "sim/trace_io.h"
 #include "sim/trace_report.h"
+#include "tools/run_options.h"
 
 namespace {
 
 using namespace hn;
-
-const char* arg_value(const char* arg, const char* key) {
-  const size_t n = std::strlen(key);
-  if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
+using tools::flag_value;
 
 bool load(const std::string& path, sim::TraceData& data) {
   std::vector<u8> blob;
@@ -195,9 +191,9 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--chrome") == 0) {
       chrome = true;
-    } else if (const char* v = arg_value(argv[i], "--out")) {
+    } else if (const char* v = flag_value(argv[i], "--out")) {
       out_path = v;
-    } else if (const char* v2 = arg_value(argv[i], "--filter")) {
+    } else if (const char* v2 = flag_value(argv[i], "--filter")) {
       filter = v2;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
