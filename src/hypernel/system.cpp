@@ -158,6 +158,9 @@ sim::Snapshot System::save_state() {
   if (hypersec_) hypersec_->save_state(w);
   snap.state = w.take();
   snap.pages = machine_->phys().capture();
+  snap.id = sim::next_snapshot_id();
+  if (mbm_) mbm_->ring().mark_synced();
+  synced_snapshot_ = snap.id;
   return snap;
 }
 
@@ -170,8 +173,15 @@ Status System::restore_state(const sim::Snapshot& snap) {
         "snapshot: configuration digest mismatch (snapshot was taken from a "
         "differently configured system)");
   }
-  if (Status s = machine_->phys().adopt(snap.pages); !s.ok()) return s;
-  sim::SnapReader r(snap.state);
+  const bool delta = snap.id != 0 && snap.id == synced_snapshot_ &&
+                     machine_->host_fast_path();
+  synced_snapshot_ = 0;
+  sim::PhysicalMemory& phys = machine_->phys();
+  if (Status s = delta ? phys.adopt_dirty(snap.pages) : phys.adopt(snap.pages);
+      !s.ok()) {
+    return s;
+  }
+  sim::SnapReader r(snap.state, delta);
   const u64 save_seq = r.get_u64();
   machine_->restore_state(r);
   kernel_->restore_state(r);
@@ -198,6 +208,8 @@ Status System::restore_state(const sim::Snapshot& snap) {
     r.fail("trailing bytes after layered state");
   }
   if (Status s = r.status(); !s.ok()) return s;
+  synced_snapshot_ = snap.id;
+  last_restore_delta_ = delta;
   // The restored ring ends with the save marker; the restore event links
   // back to it, so offline tools see fork points as explicit edges.
   machine_->trace().record_caused(machine_->account().cycles(),

@@ -106,7 +106,18 @@ class System {
   /// (validated by config digest).  Wiring persists; architectural state
   /// is replaced and host-side caches invalidate through vm_generation.
   /// Records a kSnapshot(restore) event caused by the snapshot's save.
+  ///
+  /// Restoring the snapshot this system last saved to or restored from
+  /// (same Snapshot::id) with the host fast path on is a *delta* restore:
+  /// memory visits only the page slots dirtied since, and layers that
+  /// track their own changes copy back only those.  Any other snapshot,
+  /// and every restore in reference mode, takes the full restore — the
+  /// oracle the delta path must match byte for byte.
   Status restore_state(const sim::Snapshot& snap);
+  /// Whether the last successful restore_state took the delta path.
+  [[nodiscard]] bool last_restore_was_delta() const {
+    return last_restore_delta_;
+  }
 
  private:
   explicit System(const SystemConfig& config) : config_(config) {}
@@ -118,6 +129,10 @@ class System {
   std::unique_ptr<mbm::MemoryBusMonitor> mbm_;
   std::unique_ptr<kvm::KvmHypervisor> kvm_;
   std::unique_ptr<hypersec::Hypersec> hypersec_;
+  /// Snapshot::id of the last save_state/restore_state (0: none, or the
+  /// state has changed by other means since — a failed restore).
+  u64 synced_snapshot_ = 0;
+  bool last_restore_delta_ = false;
 };
 
 }  // namespace hn::hypernel

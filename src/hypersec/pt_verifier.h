@@ -147,45 +147,42 @@ class PtVerifier {
     w.put_u64(stats_.denied_text_writable);
   }
 
+  // The inventory sets are restored in place (merge of the ascending saved
+  // keys into the live tree): entries present before and after keep their
+  // nodes, so a restore allocates only for what changed since the save.
   void restore_state(sim::SnapReader& r) {
     r.section("pt verifier");
     kernel_root_ = r.get_u64();
+    // Pages that leave the inventory are unwatched, pages that enter are
+    // watched (with a fresh epoch), and pages in both keep their watch and
+    // epoch.  A kept epoch is still exact: System::restore_state adopts the
+    // snapshot's pages first, and adopt re-epochs every watched page whose
+    // backing page it swapped.
+    sim::PhysicalMemory& phys = machine_.phys();
     const u64 npt = r.get_count("table page");
-    std::map<PhysAddr, unsigned> restored;
-    // All saved in ascending key order, so hinted inserts are O(1).
+    auto it = pt_pages_.begin();
     for (u64 i = 0; r.ok() && i < npt; ++i) {
       const PhysAddr pa = r.get_u64();
-      restored.emplace_hint(restored.end(), pa, r.get_u32());
+      const unsigned level = r.get_u32();
+      while (it != pt_pages_.end() && it->first < pa) {
+        phys.unwatch_page(it->first >> kPageShift);
+        it = pt_pages_.erase(it);
+      }
+      if (it != pt_pages_.end() && it->first == pa) {
+        it->second = level;
+        ++it;
+      } else {
+        pt_pages_.emplace_hint(it, pa, level);
+        phys.watch_page(pa >> kPageShift);
+      }
     }
-    // Diff the inventories: pages that leave are unwatched, pages that
-    // enter are watched (with a fresh epoch), and pages in both keep their
-    // watch and epoch.  A kept epoch is still exact: System::restore_state
-    // adopts the snapshot's pages first, and adopt() re-epochs every
-    // watched page whose backing page it swapped.
-    sim::PhysicalMemory& phys = machine_.phys();
-    for (const auto& [pa, level] : pt_pages_) {
-      if (!restored.contains(pa)) phys.unwatch_page(pa >> kPageShift);
+    for (; it != pt_pages_.end(); it = pt_pages_.erase(it)) {
+      phys.unwatch_page(it->first >> kPageShift);
     }
-    for (const auto& [pa, level] : restored) {
-      if (!pt_pages_.contains(pa)) phys.watch_page(pa >> kPageShift);
-    }
-    pt_pages_ = std::move(restored);
     ++generation_;
-    const u64 ntree = r.get_count("kernel-tree page");
-    kernel_tree_.clear();
-    for (u64 i = 0; r.ok() && i < ntree; ++i) {
-      kernel_tree_.emplace_hint(kernel_tree_.end(), r.get_u64());
-    }
-    const u64 ntext = r.get_count("module-text page");
-    module_text_.clear();
-    for (u64 i = 0; r.ok() && i < ntext; ++i) {
-      module_text_.emplace_hint(module_text_.end(), r.get_u64());
-    }
-    const u64 nroots = r.get_count("user root");
-    user_roots_.clear();
-    for (u64 i = 0; r.ok() && i < nroots; ++i) {
-      user_roots_.emplace_hint(user_roots_.end(), r.get_u64());
-    }
+    restore_set(r, kernel_tree_, "kernel-tree page");
+    restore_set(r, module_text_, "module-text page");
+    restore_set(r, user_roots_, "user root");
     stats_.checked = r.get_u64();
     stats_.denied_not_pt_page = r.get_u64();
     stats_.denied_kernel_tree = r.get_u64();
@@ -198,6 +195,22 @@ class PtVerifier {
   }
 
  private:
+  static void restore_set(sim::SnapReader& r, std::set<PhysAddr>& set,
+                          const char* what) {
+    const u64 n = r.get_count(what);
+    auto it = set.begin();
+    for (u64 i = 0; r.ok() && i < n; ++i) {
+      const PhysAddr key = r.get_u64();
+      while (it != set.end() && *it < key) it = set.erase(it);
+      if (it != set.end() && *it == key) {
+        ++it;
+      } else {
+        set.emplace_hint(it, key);
+      }
+    }
+    set.erase(it, set.end());
+  }
+
   sim::Machine& machine_;
   PhysAddr text_base_;
   u64 text_size_;

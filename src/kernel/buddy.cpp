@@ -9,7 +9,7 @@ BuddyAllocator::BuddyAllocator(PhysAddr base, u64 size) : base_(base) {
   assert(is_page_aligned(base) && is_page_aligned(size));
   total_pages_ = size >> kPageShift;
   block_order_.assign(total_pages_, 0);
-  allocated_.assign(total_pages_, false);
+  allocated_.assign((total_pages_ + 7) / 8, 0);
 
   // Seed the free lists with maximal naturally-aligned blocks.
   u64 index = 0;
@@ -51,7 +51,7 @@ Result<PhysAddr> BuddyAllocator::alloc_pages(unsigned order) {
     --o;
     free_lists_[o].push_back(index + (u64{1} << o));
   }
-  allocated_[index] = true;
+  set_allocated(index, true);
   block_order_[index] = static_cast<u8>(order);
   free_pages_ -= u64{1} << order;
   obs_alloc_pages_.add(u64{1} << order);
@@ -62,9 +62,9 @@ void BuddyAllocator::free_pages(PhysAddr pa, unsigned order) {
   assert(owns(pa) && is_page_aligned(pa));
   SpinGuard zone(lock_);
   u64 index = frame_index(pa);
-  assert(allocated_[index] && block_order_[index] == order &&
+  assert(allocated(index) && block_order_[index] == order &&
          "free_pages: not an allocated block head of this order");
-  allocated_[index] = false;
+  set_allocated(index, false);
   free_pages_ += u64{1} << order;
   obs_free_pages_.add(u64{1} << order);
   if (free_hook_) free_hook_(pa, order);

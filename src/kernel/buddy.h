@@ -68,13 +68,9 @@ class BuddyAllocator {
       w.put_bytes(list.data(), list.size() * sizeof(u64));
     }
     w.put_bytes(block_order_.data(), block_order_.size());
-    // Bit-packed allocated map: the pool is large (one bit per frame) and
-    // restore is on the snapshot-boot fast path.
-    std::vector<u8> bits((allocated_.size() + 7) / 8, 0);
-    for (size_t i = 0; i < allocated_.size(); ++i) {
-      if (allocated_[i]) bits[i >> 3] |= static_cast<u8>(1u << (i & 7));
-    }
-    w.put_bytes(bits.data(), bits.size());
+    // The allocated map is kept in its saved form, so save and restore
+    // are one copy each on the snapshot-boot fast path.
+    w.put_bytes(allocated_.data(), allocated_.size());
     lock_.save_state(w);
   }
 
@@ -93,11 +89,7 @@ class BuddyAllocator {
       r.get_bytes(list.data(), list.size() * sizeof(u64));
     }
     r.get_bytes(block_order_.data(), block_order_.size());
-    std::vector<u8> bits((allocated_.size() + 7) / 8, 0);
-    r.get_bytes(bits.data(), bits.size());
-    for (u64 i = 0; i < allocated_.size(); ++i) {
-      allocated_[i] = ((bits[i >> 3] >> (i & 7)) & 1) != 0;
-    }
+    r.get_bytes(allocated_.data(), allocated_.size());
     lock_.restore_state(r);
   }
 
@@ -108,6 +100,14 @@ class BuddyAllocator {
   [[nodiscard]] PhysAddr frame_addr(u64 index) const {
     return base_ + (index << kPageShift);
   }
+  [[nodiscard]] bool allocated(u64 index) const {
+    return ((allocated_[index >> 3] >> (index & 7)) & 1) != 0;
+  }
+  void set_allocated(u64 index, bool on) {
+    const u8 bit = static_cast<u8>(1u << (index & 7));
+    allocated_[index >> 3] = static_cast<u8>(
+        on ? allocated_[index >> 3] | bit : allocated_[index >> 3] & ~bit);
+  }
   /// Remove a specific free block from its order list; true if found.
   bool take_free_block(u64 index, unsigned order);
 
@@ -116,7 +116,9 @@ class BuddyAllocator {
   u64 free_pages_ = 0;
   std::array<std::vector<u64>, kMaxOrder + 1> free_lists_;  // frame indices
   std::vector<u8> block_order_;  // allocation order per frame (head only)
-  std::vector<bool> allocated_;  // per-frame allocated bit (heads)
+  /// Per-frame allocated bit (heads), packed LSB-first: frame i is bit
+  /// i & 7 of byte i >> 3 — the snapshot layout.
+  std::vector<u8> allocated_;
   std::function<void(PhysAddr, unsigned)> free_hook_;
   SpinLock lock_;  // the zone lock: one per pool, as in a real buddy zone
   obs::Counter obs_alloc_pages_;

@@ -38,6 +38,7 @@ PhysAddr KvmHypervisor::alloc_s2_table() {
 Status KvmHypervisor::init() {
   assert(s2_root_ == 0 && "KVM already initialised");
   guest_ram_size_ = machine_.secure_base();
+  ever_mapped_.assign(((guest_ram_size_ >> kPageShift) + 63) / 64, 0);
   s2_pool_next_ = machine_.secure_base();
   s2_root_ = alloc_s2_table();
 
@@ -145,20 +146,20 @@ sim::S2FaultAction KvmHypervisor::on_s2_fault(const sim::Fault& fault,
   if (fault.type == sim::FaultType::kS2Translation) {
     machine_.advance(machine_.timing().stage2_fault_service);
     ++stats_.s2_faults_serviced;
-    if (config_.thp_backing && !ever_mapped_.contains(page)) {
+    if (config_.thp_backing && !ever_mapped(page)) {
       // Cold fault into THP-backed RAM: populate the whole 2 MiB group.
       const IpaAddr group = page & ~kSectionMask;
       const IpaAddr end = std::min<IpaAddr>(group + kSectionSize,
                                             guest_ram_size_);
       for (IpaAddr p = group; p < end; p += kPageSize) {
-        ever_mapped_.insert(p);
+        mark_ever_mapped(p);
         if (!s2_map(p, /*write_ok=*/!is_protected(p)).ok()) {
           return sim::S2FaultAction::kUnhandled;
         }
       }
       return sim::S2FaultAction::kRetry;
     }
-    ever_mapped_.insert(page);
+    mark_ever_mapped(page);
     if (!s2_map(page, /*write_ok=*/!is_protected(page)).ok()) {
       return sim::S2FaultAction::kUnhandled;
     }

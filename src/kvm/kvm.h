@@ -15,8 +15,11 @@
 // real KVM, which a laziness-only model would lose at steady state.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <functional>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -95,8 +98,16 @@ class KvmHypervisor {
     w.put_u64(guest_ram_size_);
     w.put_u64(protected_pages_.size());
     for (const PhysAddr pa : protected_pages_) w.put_u64(pa);
-    w.put_u64(ever_mapped_.size());
-    for (const IpaAddr ipa : ever_mapped_) w.put_u64(ipa);
+    // Saved as the ascending list of populated IPAs, one u64 each.
+    u64 nmapped = 0;
+    for (const u64 word : ever_mapped_) nmapped += std::popcount(word);
+    w.put_u64(nmapped);
+    for (size_t i = 0; i < ever_mapped_.size(); ++i) {
+      for (u64 word = ever_mapped_[i]; word != 0; word &= word - 1) {
+        const u64 frame = i * 64 + std::countr_zero(word);
+        w.put_u64(frame << kPageShift);
+      }
+    }
     w.put_f64(recycle_tokens_);
     w.put_u64(recycle_last_refill_);
     w.put_u64(stats_.s2_faults_serviced);
@@ -111,18 +122,28 @@ class KvmHypervisor {
     rng_.restore_state(r.get_u64());
     s2_root_ = r.get_u64();
     s2_pool_next_ = r.get_u64();
-    guest_ram_size_ = r.get_u64();
+    const u64 guest_ram_size = r.get_u64();
+    if (r.ok() && guest_ram_size != guest_ram_size_) {
+      r.fail("guest RAM size " + std::to_string(guest_ram_size) +
+             " does not match this configuration");
+      return;
+    }
     const u64 nprot = r.get_count("protected page");
     protected_pages_.clear();
     // Saved in ascending order (std::set iteration): hinted inserts are
-    // O(1), and ever_mapped_ can hold a THP group per fault.
+    // O(1).
     for (u64 i = 0; r.ok() && i < nprot; ++i) {
       protected_pages_.emplace_hint(protected_pages_.end(), r.get_u64());
     }
     const u64 nmapped = r.get_count("mapped page");
-    ever_mapped_.clear();
+    std::fill(ever_mapped_.begin(), ever_mapped_.end(), 0);
     for (u64 i = 0; r.ok() && i < nmapped; ++i) {
-      ever_mapped_.emplace_hint(ever_mapped_.end(), r.get_u64());
+      const IpaAddr ipa = r.get_u64();
+      if (r.ok() && (ipa >= guest_ram_size_ || !is_page_aligned(ipa))) {
+        r.fail("mapped page " + std::to_string(ipa) + " outside guest RAM");
+        return;
+      }
+      mark_ever_mapped(ipa);
     }
     recycle_tokens_ = r.get_f64();
     recycle_last_refill_ = r.get_u64();
@@ -141,6 +162,15 @@ class KvmHypervisor {
   Status s2_unmap(IpaAddr ipa);
   PhysAddr alloc_s2_table();
 
+  [[nodiscard]] bool ever_mapped(IpaAddr page) const {
+    const u64 frame = page >> kPageShift;
+    return ((ever_mapped_[frame / 64] >> (frame % 64)) & 1) != 0;
+  }
+  void mark_ever_mapped(IpaAddr page) {
+    const u64 frame = page >> kPageShift;
+    ever_mapped_[frame / 64] |= u64{1} << (frame % 64);
+  }
+
   sim::Machine& machine_;
   kernel::Kernel& kernel_;
   KvmConfig config_;
@@ -149,7 +179,9 @@ class KvmHypervisor {
   PhysAddr s2_pool_next_ = 0;  // bump allocator over host-reserved memory
   u64 guest_ram_size_ = 0;
   std::set<PhysAddr> protected_pages_;
-  std::set<IpaAddr> ever_mapped_;  // pages that have been THP-populated
+  /// Guest page frames that have been THP-populated: one bit per frame
+  /// of guest RAM, sized by init().
+  std::vector<u64> ever_mapped_;
   double recycle_tokens_ = 0;
   Cycles recycle_last_refill_ = 0;
   WpHandler wp_handler_;

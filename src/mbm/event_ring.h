@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/types.h"
@@ -79,11 +80,21 @@ class EventRing {
     drops_ = pushed_ = 0;
     std::fill(shadow_seq_.begin(), shadow_seq_.end(), sim::kNoCause);
     std::fill(shadow_at_.begin(), shadow_at_.end(), Cycles{0});
+    synced_ = false;
   }
 
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
   // Ring *data* lives in simulated secure memory (restored via pages);
   // the device indices and host-side provenance sideband serialize here.
+  // Only push() writes the sideband, one slot per head_ step, so the slots
+  // written since a sync are those of heads [synced_head_, head_): a delta
+  // restore copies back just those.
+
+  /// The sideband now equals the state just saved (hypernel::System).
+  void mark_synced() {
+    synced_ = true;
+    synced_head_ = head_;
+  }
 
   void save_state(sim::SnapWriter& w) const {
     w.put_u64(head_);
@@ -97,6 +108,7 @@ class EventRing {
 
   void restore_state(sim::SnapReader& r) {
     r.section("mbm event ring");
+    const u64 head_now = head_;
     head_ = r.get_u64();
     tail_ = r.get_u64();
     drops_ = r.get_u64();
@@ -107,8 +119,22 @@ class EventRing {
              " does not match this configuration");
       return;
     }
-    r.get_bytes(shadow_seq_.data(), shadow_seq_.size() * sizeof(u64));
-    r.get_bytes(shadow_at_.data(), shadow_at_.size() * sizeof(Cycles));
+    const u8* seq = r.view(n * sizeof(u64));
+    const u8* at = r.view(n * sizeof(Cycles));
+    if (!r.ok()) return;
+    // head_ only grows between syncs (reset() clears synced_).
+    if (r.delta() && synced_ && head_now - synced_head_ < entries_) {
+      for (u64 h = synced_head_; h != head_now; ++h) {
+        const u64 slot = h % entries_;
+        std::memcpy(&shadow_seq_[slot], seq + slot * sizeof(u64), sizeof(u64));
+        std::memcpy(&shadow_at_[slot], at + slot * sizeof(Cycles),
+                    sizeof(Cycles));
+      }
+    } else {
+      std::memcpy(shadow_seq_.data(), seq, n * sizeof(u64));
+      std::memcpy(shadow_at_.data(), at, n * sizeof(Cycles));
+    }
+    mark_synced();
   }
 
  private:
@@ -121,6 +147,8 @@ class EventRing {
   u64 pushed_ = 0;
   std::vector<u64> shadow_seq_;  // per-slot provenance, parallel to the ring
   std::vector<Cycles> shadow_at_;  // per-slot store bus instant (sideband)
+  bool synced_ = false;   // sideband equals the last synced snapshot's
+  u64 synced_head_ = 0;   // head_ at that sync
 };
 
 }  // namespace hn::mbm

@@ -69,10 +69,14 @@ void TimeSeries::unenroll_prefix(std::string_view prefix) {
   tracks.reserve(keep.size());
   for (const size_t i : keep) tracks.push_back(std::move(tracks_[i]));
   tracks_ = std::move(tracks);
+  // Rows sampled before a later enroll() are shorter than the track list:
+  // they keep only the columns they have.
   for (TimeSeriesSample& row : samples_) {
     std::vector<u64> values;
     values.reserve(keep.size());
-    for (const size_t i : keep) values.push_back(row.values[i]);
+    for (const size_t i : keep) {
+      if (i < row.values.size()) values.push_back(row.values[i]);
+    }
     row.values = std::move(values);
   }
 }

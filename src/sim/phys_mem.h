@@ -15,7 +15,13 @@
 //   * writes materialise zero pages and copy shared ones (refcount > 1)
 //     before mutating, so a captured PageSet is immutable: concurrent
 //     machines forked from one snapshot only ever *read* shared pages,
-//     which keeps the fork path clean under TSan.
+//     which keeps the fork path clean under TSan;
+//   * every slot whose page pointer changes after a capture() or adopt()
+//     is listed once as dirty, so adopt_dirty() can return to the set last
+//     synced by visiting only those slots.  Pages an adopt frees are kept
+//     for the write path to reuse instead of going back to the heap (at
+//     most the pages this memory owned, one case's worth on the fork
+//     path).
 //
 // Refcount discipline is the shared_ptr classic: increments are relaxed,
 // the owner-drop decrement is acq_rel, and the exclusivity check in the
@@ -108,12 +114,14 @@ class PhysicalMemory {
 
   explicit PhysicalMemory(u64 size_bytes)
       : size_(size_bytes), pages_(size_bytes >> kPageShift, nullptr),
+        dirty_mark_(size_bytes >> kPageShift, 0),
         watched_(size_bytes >> kPageShift, 0),
         page_epoch_(size_bytes >> kPageShift, 0) {
     assert(is_page_aligned(size_bytes));
   }
   ~PhysicalMemory() {
     for (Page* p : pages_) unref(p);
+    for (Page* p : spare_) delete p;
   }
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
@@ -221,8 +229,11 @@ class PhysicalMemory {
         // Whole page: drop back to the zero sentinel, reclaiming sharing.
         // This bypasses writable_page(), so touch the watch epoch here.
         touch_watched(index);
-        unref(pages_[index]);
-        pages_[index] = nullptr;
+        if (pages_[index] != nullptr) {
+          mark_dirty(index);
+          unref(pages_[index]);
+          pages_[index] = nullptr;
+        }
       } else if (pages_[index] != nullptr) {
         std::memset(&writable_page(index)->bytes[off], 0, n);
       }
@@ -234,34 +245,38 @@ class PhysicalMemory {
   // --- Snapshot / fork support (sim/snapshot.h) -----------------------------
 
   /// Share every current page into a PageSet: the copy-on-write fork.
-  /// O(pages) pointer work; no page data is copied.
+  /// O(pages) pointer work; no page data is copied.  Starts a new dirty
+  /// list: the memory now equals the returned set.
   [[nodiscard]] PageSet capture() {
     PageSet set;
     set.pages_ = pages_;
     for (Page* p : set.pages_) ref(p);
+    clear_dirty();
     return set;
   }
 
   /// Replace the current contents with `set`'s pages, copy-on-write shared.
   /// Pages this memory privately materialised since the capture are freed.
+  /// O(pages): compares every slot.
   Status adopt(const PageSet& set) {
-    if (set.pages_.size() != pages_.size()) {
-      return Status::Invalid(
-          "snapshot: physical memory page count mismatch (snapshot " +
-          std::to_string(set.pages_.size()) + ", machine " +
-          std::to_string(pages_.size()) + ")");
-    }
-    for (size_t i = 0; i < pages_.size(); ++i) {
-      Page* next = set.pages_[i];
-      Page* cur = pages_[i];
-      if (next == cur) continue;
-      touch_watched(i);
-      ref(next);
-      unref(cur);
-      pages_[i] = next;
-    }
+    if (Status s = check_adoptable(set); !s.ok()) return s;
+    for (size_t i = 0; i < pages_.size(); ++i) swap_in(i, set.pages_[i]);
+    clear_dirty();
     return Status::Ok();
   }
+
+  /// adopt() for a set this memory equalled at its last capture() or
+  /// adopt() — the caller guarantees it (hypernel::System tracks the sync).
+  /// Visits only the dirty slots, so the cost follows what changed since.
+  Status adopt_dirty(const PageSet& set) {
+    if (Status s = check_adoptable(set); !s.ok()) return s;
+    for (const u64 i : dirty_) swap_in(i, set.pages_[i]);
+    clear_dirty();
+    return Status::Ok();
+  }
+
+  /// Slots whose page pointer changed since the last capture()/adopt().
+  [[nodiscard]] u64 dirty_count() const { return dirty_.size(); }
 
   // --- Page-watch epochs ------------------------------------------------------
   //
@@ -317,6 +332,39 @@ class PhysicalMemory {
     }
   }
 
+  Status check_adoptable(const PageSet& set) const {
+    if (set.pages_.size() == pages_.size()) return Status::Ok();
+    return Status::Invalid(
+        "snapshot: physical memory page count mismatch (snapshot " +
+        std::to_string(set.pages_.size()) + ", machine " +
+        std::to_string(pages_.size()) + ")");
+  }
+
+  /// Point slot `i` at `next` (shared), recycling the page it drops.
+  void swap_in(u64 i, Page* next) {
+    Page* cur = pages_[i];
+    if (next == cur) return;
+    touch_watched(i);
+    ref(next);
+    if (cur != nullptr &&
+        cur->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      spare_.push_back(cur);
+    }
+    pages_[i] = next;
+  }
+
+  /// Record that slot `index` no longer holds its page of the last sync.
+  void mark_dirty(u64 index) {
+    if (dirty_mark_[index] == 0) {
+      dirty_mark_[index] = 1;
+      dirty_.push_back(index);
+    }
+  }
+  void clear_dirty() {
+    for (const u64 i : dirty_) dirty_mark_[i] = 0;
+    dirty_.clear();
+  }
+
   /// Watched-page epoch bump; see the page-watch section above.
   void touch_watched(u64 index) {
     if (watched_[index] != 0) [[unlikely]] {
@@ -332,7 +380,14 @@ class PhysicalMemory {
     if (p != nullptr && p->refs.load(std::memory_order_acquire) == 1) {
       return p;
     }
-    Page* fresh = new Page;
+    Page* fresh;
+    if (spare_.empty()) {
+      fresh = new Page;
+    } else {
+      fresh = spare_.back();
+      spare_.pop_back();
+      fresh->refs.store(1, std::memory_order_relaxed);
+    }
     if (p == nullptr) {
       std::memset(fresh->bytes, 0, kPageSize);
     } else {
@@ -340,11 +395,15 @@ class PhysicalMemory {
       unref(p);
     }
     pages_[index] = fresh;
+    mark_dirty(index);
     return fresh;
   }
 
   u64 size_;
   std::vector<Page*> pages_;
+  std::vector<u64> dirty_;      // slots changed since the last sync, once each
+  std::vector<u8> dirty_mark_;  // 1 = slot is on dirty_
+  std::vector<Page*> spare_;    // pages an adopt freed (refs 0), for reuse
   std::vector<u8> watched_;     // 1 = page participates in epoch tracking
   std::vector<u64> page_epoch_; // last-mutation epoch of watched pages
   u64 watch_epoch_ = 0;         // global monotone epoch source

@@ -1,5 +1,6 @@
 #include "sim/snapshot.h"
 
+#include <atomic>
 #include <cstdio>
 
 namespace hn::sim {
@@ -20,6 +21,15 @@ u64 fnv_bytes(u64 h, const u8* data, u64 len) {
 }
 
 }  // namespace
+
+void SnapReader::fail_truncated() {
+  if (!failed_) fail("truncated state");
+}
+
+u64 next_snapshot_id() {
+  static std::atomic<u64> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 std::vector<u8> pack_snapshot(const Snapshot& snap) {
   const u64 total_pages = snap.pages.page_count();
@@ -66,6 +76,7 @@ Status unpack_snapshot(const std::vector<u8>& blob, Snapshot& out) {
     return Status::Invalid("snapshot: checksum mismatch (corrupt file)");
   }
 
+  out.id = next_snapshot_id();
   SnapReader r(blob);
   u8 magic[8];
   r.get_bytes(magic, 8);

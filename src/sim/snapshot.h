@@ -81,9 +81,19 @@ class SnapWriter {
 /// per-layer restore code reads fields linearly and checks `ok()` once.
 /// The first failure records which section was being parsed; all later
 /// reads return zero values without advancing.
+///
+/// A *delta* reader restores a live system onto the very snapshot it last
+/// saved to or restored from (hypernel::System decides; DESIGN.md §12).
+/// Layers that track what they changed since that sync may then read the
+/// blob selectively (view()) and touch only the changed parts; every other
+/// layer reads exactly as in a full restore.
 class SnapReader {
  public:
-  explicit SnapReader(const std::vector<u8>& blob) : blob_(blob) {}
+  explicit SnapReader(const std::vector<u8>& blob, bool delta = false)
+      : blob_(blob), delta_(delta) {}
+
+  /// True when the live state last equalled this blob's (see above).
+  [[nodiscard]] bool delta() const { return delta_; }
 
   /// Name the section subsequent reads belong to (for diagnostics).
   void section(const char* name) { section_ = name; }
@@ -127,6 +137,17 @@ class SnapReader {
     return v;
   }
   void get_bytes(void* dst, u64 n) { take(dst, n); }
+  /// The next `n` bytes in place (nullptr after a failure), for restores
+  /// that copy back only part of a saved array.
+  [[nodiscard]] const u8* view(u64 n) {
+    if (!failed_ && n <= remaining()) [[likely]] {
+      const u8* p = blob_.data() + pos_;
+      pos_ += n;
+      return p;
+    }
+    fail_truncated();
+    return nullptr;
+  }
   std::string get_string() {
     const u32 len = get_u32();
     if (len > remaining()) {
@@ -155,17 +176,21 @@ class SnapReader {
   }
 
  private:
+  // Every field read lands here, so the in-bounds copy stays inline and
+  // the failure path is out of line.
   void take(void* dst, u64 n) {
-    if (failed_ || pos_ + n > blob_.size()) {
-      if (!failed_) fail("truncated state");
-      std::memset(dst, 0, n);
+    if (!failed_ && n <= remaining()) [[likely]] {
+      std::memcpy(dst, blob_.data() + pos_, n);
+      pos_ += n;
       return;
     }
-    std::memcpy(dst, blob_.data() + pos_, n);
-    pos_ += n;
+    fail_truncated();
+    std::memset(dst, 0, n);
   }
+  [[gnu::cold, gnu::noinline]] void fail_truncated();
 
   const std::vector<u8>& blob_;
+  bool delta_ = false;
   u64 pos_ = 0;
   bool failed_ = false;
   const char* section_ = "header";
@@ -175,6 +200,10 @@ class SnapReader {
 /// A machine snapshot: the layered state blob plus the COW-shared DRAM
 /// pages, tagged with the digest of the configuration it was taken from.
 struct Snapshot {
+  /// Process-unique identity (host-side; never serialized).  Assigned by
+  /// hypernel::System::save_state and unpack_snapshot; a copy keeps it,
+  /// since its content is identical and must stay immutable.  0 = none.
+  u64 id = 0;
   u64 config_digest = 0;
   /// Sequence id of the kSnapshot trace event recorded at save time
   /// (kNoCause when tracing was off) — the restore event's cause link.
@@ -184,6 +213,9 @@ struct Snapshot {
 
   [[nodiscard]] bool empty() const { return state.empty(); }
 };
+
+/// A fresh process-unique snapshot id (never 0).  Thread-safe.
+[[nodiscard]] u64 next_snapshot_id();
 
 /// Serialize a snapshot into the self-contained v1 file format:
 /// magic, version, config digest, state blob, sparse page table

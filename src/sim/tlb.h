@@ -9,10 +9,12 @@
 //
 // Host-side representation: lookups go through a vpage hash index instead
 // of scanning the whole array, so a hit costs O(1) host work regardless of
-// capacity.  The index is an invisible acceleration structure — hit/miss
-// results, replacement order and flush behaviour are bit-identical to the
-// naive full scan (the tlb_property_test pins this against a reference
-// implementation).  Three invariants keep it exact:
+// capacity.  The index is a flat open-addressing table (linear probing,
+// at most half full, backward-shift erase), so rebuilding it after a
+// snapshot restore allocates nothing.  It is an invisible acceleration
+// structure — hit/miss results, replacement order and flush behaviour are
+// bit-identical to the naive full scan (the tlb_property_test pins this
+// against a reference implementation).  Three invariants keep it exact:
 //
 //   * per-vpage chains are sorted by slot index, so "first match in array
 //     order" among same-vpage entries is preserved;
@@ -22,8 +24,8 @@
 //     slot numbers exactly as before.
 #pragma once
 
+#include <algorithm>
 #include <bit>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -46,12 +48,15 @@ class Tlb {
   explicit Tlb(unsigned entries = 48)
       : entries_(entries),
         chain_next_(entries, kNil),
-        free_((entries + 63) / 64, ~0ull) {
+        free_((entries + 63) / 64, ~0ull),
+        // Distinct vpages never exceed the entry count, so the table stays
+        // at most half full and every probe ends at an empty bucket.
+        index_(std::bit_ceil(std::max(2u * entries, 2u))),
+        index_shift_(64 - std::countr_zero(index_.size())) {
     // Mask off bits beyond capacity so find-first-free never returns an
     // out-of-range slot.
     const unsigned tail = entries % 64;
     if (tail != 0) free_.back() = (u64{1} << tail) - 1;
-    index_.reserve(entries * 2);
   }
 
   /// Returns the matching entry or nullptr.
@@ -66,9 +71,8 @@ class Tlb {
       }
       return nullptr;
     }
-    const auto it = index_.find(vpage);
-    if (it == index_.end()) return nullptr;
-    for (u32 slot = it->second; slot != kNil; slot = chain_next_[slot]) {
+    for (u32 slot = index_[find_bucket(vpage)].head; slot != kNil;
+         slot = chain_next_[slot]) {
       const TlbEntry& e = entries_[slot];
       if (e.attrs.global || e.asid == asid) return &e;
     }
@@ -81,15 +85,13 @@ class Tlb {
     // maintained even in reference mode (so the mode can flip at runtime);
     // only the *search* above changes, and both searches visit same-vpage
     // slots in ascending array order, so the replaced slot is identical.
-    const auto it = index_.find(entry.vpage);
-    if (it != index_.end()) {
-      for (u32 slot = it->second; slot != kNil; slot = chain_next_[slot]) {
-        TlbEntry& e = entries_[slot];
-        if (e.attrs.global || e.asid == entry.asid) {
-          e = entry;
-          e.valid = true;
-          return;
-        }
+    for (u32 slot = index_[find_bucket(entry.vpage)].head; slot != kNil;
+         slot = chain_next_[slot]) {
+      TlbEntry& e = entries_[slot];
+      if (e.attrs.global || e.asid == entry.asid) {
+        e = entry;
+        e.valid = true;
+        return;
       }
     }
     const u32 slot = first_free_slot();
@@ -106,25 +108,22 @@ class Tlb {
   void flush_all() {
     ++generation_;
     for (TlbEntry& e : entries_) e.valid = false;
-    index_.clear();
-    for (u64& w : free_) w = ~0ull;
-    const unsigned tail = entries_.size() % 64;
-    if (tail != 0) free_.back() = (u64{1} << tail) - 1;
+    clear_derived();
   }
 
   /// TLBI VAE1-style: drop any entry translating `va` (any ASID).
   void flush_va(VirtAddr va) {
     ++generation_;
     const VirtAddr vpage = page_align_down(va);
-    const auto it = index_.find(vpage);
-    if (it == index_.end()) return;
-    for (u32 slot = it->second; slot != kNil;) {
+    const u64 bucket = find_bucket(vpage);
+    if (index_[bucket].head == kNil) return;
+    for (u32 slot = index_[bucket].head; slot != kNil;) {
       const u32 next = chain_next_[slot];
       entries_[slot].valid = false;
       mark_free(slot);
       slot = next;
     }
-    index_.erase(it);
+    erase_bucket(bucket);
   }
 
   /// TLBI ASIDE1-style: drop all non-global entries for `asid`.
@@ -163,7 +162,7 @@ class Tlb {
   // --- Snapshot support (sim/snapshot.h) ------------------------------------
   // Only the authoritative state (entry array, victim cursor, generation)
   // is serialized; the lookup index, chains and free bitmap are derived
-  // host-side structures and are rebuilt on restore.
+  // host-side structures and are rebuilt in place on restore.
 
   void save_state(SnapWriter& w) const {
     w.put_u64(entries_.size());
@@ -212,6 +211,59 @@ class Tlb {
  private:
   static constexpr u32 kNil = ~u32{0};
 
+  /// Index bucket: the lowest slot of a vpage's chain; head == kNil marks
+  /// an empty bucket.
+  struct Bucket {
+    VirtAddr vpage = 0;
+    u32 head = kNil;
+  };
+
+  /// Home bucket of `vpage` (Fibonacci hashing of the page number).
+  [[nodiscard]] u64 home_bucket(VirtAddr vpage) const {
+    return ((vpage >> kPageShift) * 0x9E3779B97F4A7C15ull) >> index_shift_;
+  }
+  /// The bucket holding `vpage`, or the empty bucket ending its probe run
+  /// (where an insert would claim it).
+  [[nodiscard]] u64 find_bucket(VirtAddr vpage) const {
+    const u64 mask = index_.size() - 1;
+    u64 i = home_bucket(vpage);
+    while (index_[i].head != kNil && index_[i].vpage != vpage) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+  /// Chain head of `vpage`, claiming an empty bucket (head kNil) if none.
+  u32& head_of(VirtAddr vpage) {
+    Bucket& b = index_[find_bucket(vpage)];
+    b.vpage = vpage;
+    return b.head;
+  }
+  /// Empty bucket `i`, shifting later entries of its probe run back so
+  /// every lookup still reaches its key before an empty bucket.
+  void erase_bucket(u64 i) {
+    const u64 mask = index_.size() - 1;
+    for (u64 j = (i + 1) & mask; index_[j].head != kNil; j = (j + 1) & mask) {
+      const u64 home = home_bucket(index_[j].vpage);
+      // Entry j may fill the hole at i unless its home lies cyclically
+      // in (i, j].
+      const bool stays = i < j ? (home > i && home <= j)
+                               : (home > i || home <= j);
+      if (!stays) {
+        index_[i] = index_[j];
+        i = j;
+      }
+    }
+    index_[i].head = kNil;
+  }
+
+  /// Empty the index, chains and free bitmap (entries untouched).
+  void clear_derived() {
+    std::fill(index_.begin(), index_.end(), Bucket{});
+    for (u64& word : free_) word = ~0ull;
+    const unsigned tail = entries_.size() % 64;
+    if (tail != 0) free_.back() = (u64{1} << tail) - 1;
+  }
+
   /// Lowest-index free slot, or kNil when the TLB is full.
   [[nodiscard]] u32 first_free_slot() const {
     for (size_t w = 0; w < free_.size(); ++w) {
@@ -231,7 +283,7 @@ class Tlb {
     entries_[slot] = entry;
     entries_[slot].valid = true;
     mark_used(slot);
-    u32& head = index_.try_emplace(entry.vpage, kNil).first->second;
+    u32& head = head_of(entry.vpage);
     if (head == kNil || head > slot) {
       chain_next_[slot] = head;
       head = slot;
@@ -250,15 +302,12 @@ class Tlb {
   /// at its chain's tail, reproducing the sorted-chain invariant place()
   /// maintains incrementally.
   void rebuild_derived() {
-    index_.clear();
+    clear_derived();
     for (u32& next : chain_next_) next = kNil;
-    for (u64& word : free_) word = ~0ull;
-    const unsigned tail = entries_.size() % 64;
-    if (tail != 0) free_.back() = (u64{1} << tail) - 1;
     for (u32 slot = 0; slot < entries_.size(); ++slot) {
       if (!entries_[slot].valid) continue;
       mark_used(slot);
-      u32& head = index_.try_emplace(entries_[slot].vpage, kNil).first->second;
+      u32& head = head_of(entries_[slot].vpage);
       if (head == kNil) {
         head = slot;
         continue;
@@ -271,11 +320,11 @@ class Tlb {
 
   /// Remove `slot` from the chain of `vpage`.
   void unlink(VirtAddr vpage, u32 slot) {
-    const auto it = index_.find(vpage);
-    u32& head = it->second;
+    const u64 bucket = find_bucket(vpage);
+    u32& head = index_[bucket].head;
     if (head == slot) {
       head = chain_next_[slot];
-      if (head == kNil) index_.erase(it);
+      if (head == kNil) erase_bucket(bucket);
       return;
     }
     u32 prev = head;
@@ -284,11 +333,12 @@ class Tlb {
   }
 
   std::vector<TlbEntry> entries_;
-  /// vpage -> lowest slot holding a valid entry for it; entries with the
-  /// same vpage chain through chain_next_ in ascending slot order.
-  std::unordered_map<VirtAddr, u32> index_;
   std::vector<u32> chain_next_;
   std::vector<u64> free_;  // bit set = slot invalid/free
+  /// vpage -> lowest slot holding a valid entry for it; entries with the
+  /// same vpage chain through chain_next_ in ascending slot order.
+  std::vector<Bucket> index_;
+  unsigned index_shift_;  // 64 - log2(index_.size())
   u64 next_victim_ = 0;
   u64 generation_ = 0;
   bool index_enabled_ = true;

@@ -153,6 +153,32 @@ TEST(TimeSeries, UnenrollPrefixDropsTracksAndColumns) {
   EXPECT_EQ(data.samples[0].values[0], 4u);
 }
 
+TEST(TimeSeries, UnenrollPrefixKeepsRowsSampledBeforeALaterEnroll) {
+  // A row sampled before a later enroll() is shorter than the track list;
+  // unenrolling must drop its columns without reading past its end.
+  TimeSeries ts;
+  u64 x = 0;
+  ts.enroll("sim.core0.cycles", TrackKind::kCounter, [&] { return x; });
+  ts.enroll("mbm.detections", TrackKind::kCounter, [&] { return x; });
+  ts.arm(10, 0);
+  x = 4;
+  ts.poll(10);  // row 0: two columns
+  ts.enroll("hypersec.irqs", TrackKind::kLevel, [&] { return x; });
+  x = 6;
+  ts.poll(20);  // row 1: three columns
+
+  ts.unenroll_prefix("mbm.");
+  const TimeSeriesData data = ts.data(20);
+  ASSERT_EQ(data.tracks.size(), 2u);
+  EXPECT_EQ(data.tracks[1].name, "hypersec.irqs");
+  ASSERT_EQ(data.samples.size(), 2u);
+  ASSERT_EQ(data.samples[0].values.size(), 1u);
+  EXPECT_EQ(data.samples[0].values[0], 4u);
+  ASSERT_EQ(data.samples[1].values.size(), 2u);
+  EXPECT_EQ(data.samples[1].values[0], 2u);
+  EXPECT_EQ(data.samples[1].values[1], 6u);
+}
+
 TEST(TimeSeries, TrackTotalLevelReportsLastValue) {
   TimeSeries ts;
   u64 depth = 0;

@@ -148,7 +148,9 @@ TEST(CowPages, ConcurrentForksShareAndDivergeSafely) {
   constexpr unsigned kThreads = 4;
   constexpr unsigned kRounds = 50;
   std::vector<std::thread> workers;
-  std::vector<bool> ok(kThreads, false);
+  // One byte per thread: std::vector<bool> packs the flags into one word,
+  // so the workers' final stores would race.
+  std::vector<u8> ok(kThreads, 0);
   for (unsigned t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       PhysicalMemory mine(kMemBytes);
@@ -161,7 +163,7 @@ TEST(CowPages, ConcurrentForksShareAndDivergeSafely) {
           good &= mine.read64(p * kPageSize) == ((u64{t} << 32) | round);
         }
       }
-      ok[t] = good;
+      ok[t] = good ? 1 : 0;
     });
   }
   for (std::thread& w : workers) w.join();

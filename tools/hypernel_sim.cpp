@@ -60,6 +60,8 @@ struct Options {
 /// Largest --scale: 16x the paper-sized runs.
 constexpr double kMaxAppScale = 16;
 
+constexpr const char* kScenarios[] = {"cred", "dentry", "transient", "dma"};
+
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
@@ -109,6 +111,11 @@ bool parse(int argc, char** argv, Options& opt) {
       }
       opt.monitor = monitor;
     } else if ((v = flag_value(arg, "--scenario"))) {
+      auto same = [v](const char* n) { return std::strcmp(n, v) == 0; };
+      if (std::ranges::none_of(kScenarios, same)) {
+        std::fprintf(stderr, "unknown scenario '%s'\n", v);
+        return false;
+      }
       opt.scenario = v;
     } else if ((v = flag_value(arg, "--save-state"))) {
       opt.save_state = v;
@@ -120,6 +127,11 @@ bool parse(int argc, char** argv, Options& opt) {
       std::fprintf(stderr, "unknown argument: %s\n", arg);
       return false;
     }
+  }
+  if (opt.command == "app" && opt.monitor != "none" &&
+      opt.mode != hypernel::Mode::kHypernel) {
+    std::fprintf(stderr, "--monitor requires --mode=hypernel\n");
+    return false;
   }
   return true;
 }
@@ -209,11 +221,7 @@ int cmd_lmbench(const Options& opt) {
 }
 
 int cmd_app(const Options& opt) {
-  const bool want_monitor = opt.monitor != "none";
-  if (want_monitor && opt.mode != hypernel::Mode::kHypernel) {
-    std::fprintf(stderr, "--monitor requires --mode=hypernel\n");
-    return 1;
-  }
+  const bool want_monitor = opt.monitor != "none";  // Hypernel (parse())
   auto sys = build(opt, want_monitor);
   std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor;
   if (want_monitor) {
@@ -266,15 +274,12 @@ int cmd_attack(const Options& opt) {
   } else if (opt.scenario == "transient") {
     sys->machine().write64(cred + kernel::CredLayout::kEuid * kWordSize, 0);
     sys->machine().write64(cred + kernel::CredLayout::kEuid * kWordSize, 1000);
-  } else if (opt.scenario == "dma") {
+  } else {  // "dma": parse() admits only the kScenarios names
     sim::Iommu iommu;  // attacker-owned device, IOMMU left in bypass
     sim::DmaDevice evil(sys->machine(), iommu, 13);
     evil.write64(kernel::virt_to_phys(dva) +
                      kernel::DentryLayout::kInode * kWordSize,
                  0x1337);
-  } else {
-    std::fprintf(stderr, "unknown scenario '%s'\n", opt.scenario.c_str());
-    return 1;
   }
 
   if (opt.trace) {
