@@ -3,8 +3,8 @@
 // Measures how many *simulated* memory accesses per second of *host*
 // wall-clock the inner loop of the memory system sustains, with the host
 // fast path on (cached walk context, O(1) TLB index, bulk charge-replay)
-// and off (reference mode).  Five loops cover the regimes every table,
-// ablation and fuzz campaign funnels through:
+// and off (reference mode).  Four loops isolate the fast-path mechanisms
+// every table, ablation and fuzz campaign funnels through:
 //
 //   tlb_hit      — pointer-chase over a working set inside TLB reach
 //   walk_heavy   — working set past TLB reach: every access walks
@@ -12,22 +12,17 @@
 //                  fetches, the architectural blow-up of §3)
 //   bulk_copy    — read/write_block_bulk over a non-cacheable buffer
 //                  (the charge-replay path; bus-visible traffic)
-//   fuzz_replay  — whole differential fuzz sequences across the quick
-//                  configuration matrix (end-to-end replay cost)
-//   campaign     — run_campaign end-to-end (the hypernel_fuzz pipeline):
-//                  fast path + snapshot-boot vs fresh-boot reference,
-//                  corpus digests asserted equal
-//   snapshot_fork— ready-to-fuzz systems forked from a per-configuration
-//                  boot snapshot (COW restore, --snapshot-boot) instead
-//                  of re-booted fresh per exec (boot amortization)
+//
+// End-to-end host throughput (whole fuzz campaigns, snapshot forks) is
+// perfbench's record (perfbench/README.md); its fast-vs-reference
+// identity is pinned by campaign_digest_test and snapshot_invariance_test.
 //
 // Both modes run the same simulated workload; the bench asserts their
 // simulated cycles and key counters are bit-identical before reporting,
 // so a speedup can never be bought with a behaviour change.  Results are
 // printed as a table and written to BENCH_sim_throughput.json.
 //
-//   bench_sim_throughput [--quick] [--out=PATH]
-#include <cassert>
+//   bench_sim_throughput [--quick] [--repeat=N] [--out=PATH]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,7 +33,6 @@
 #include "bench/bench_common.h"
 #include "common/parse.h"
 #include "common/stopwatch.h"
-#include "fuzz/fuzzer.h"
 #include "sim/machine.h"
 #include "sim/pagetable.h"
 
@@ -49,11 +43,7 @@ using namespace hn::sim;
 
 struct LoopResult {
   std::string name;
-  /// What one unit of `work` is: "accesses" for the memory-system loops,
-  /// "execs" (sequence x configuration runs) for the end-to-end loops.
-  const char* unit = "accesses";
-  u64 work = 0;          // units of work per mode run
-  u64 sequences = 0;     // fuzz sequences per run (end-to-end loops only)
+  u64 work = 0;          // simulated accesses per mode run
   double fast_ns = 0;    // host wall-clock, fast path on
   double ref_ns = 0;     // host wall-clock, reference mode
   Cycles sim_cycles = 0; // simulated cycles per run (identical both modes)
@@ -326,177 +316,6 @@ LoopResult bench_bulk_copy(u64 iters) {
                   body);
 }
 
-/// End-to-end: whole fuzz sequences across the quick matrix.  Fast mode
-/// runs the host fast path; reference is the naive recompute path.  Every
-/// run's fingerprint — functional hash AND simulated cycles — folds into
-/// a per-mode ledger digest, and the two modes' digests are asserted
-/// equal: the speedup can never be bought with a behaviour change.
-LoopResult bench_fuzz_replay(u64 sequences) {
-  const u64 matrix = fuzz::build_matrix(/*full=*/false).size();
-  auto run = [&](bool fast_mode, u64* digest) {
-    auto specs = fuzz::build_matrix(/*full=*/false);
-    for (auto& spec : specs) spec.host_fast_path = fast_mode;
-    const fuzz::GeneratorOptions gen;
-    fuzz::ExecutorOptions exec;
-    exec.collect_metrics = fast_mode && hn::bench::metrics_enabled();
-    Stopwatch sw;
-    u64 findings = 0;
-    u64 d = hypernel::kFnvOffset;
-    obs::Snapshot metrics;
-    std::vector<fuzz::RunResult> runs;
-    for (u64 s = 1; s <= sequences; ++s) {
-      findings +=
-          fuzz::run_sequence_seed(s, gen, specs, exec, &runs).findings.size();
-      for (const fuzz::RunResult& r : runs) {
-        d = hypernel::fnv_fold(d, r.fingerprint.functional_hash());
-        d = hypernel::fnv_fold(d, r.fingerprint.cycles);
-        if (exec.collect_metrics) metrics.merge(r.metrics);
-      }
-      runs.clear();
-    }
-    if (exec.collect_metrics) {
-      static u64 metrics_cell = 1u << 16;  // clear of the run_mode cells
-      hn::bench::record_cell_metrics(metrics_cell++, metrics);
-    }
-    if (findings != 0) {
-      std::fprintf(stderr, "FATAL: fuzz_replay produced %llu findings\n",
-                   (unsigned long long)findings);
-      std::abort();
-    }
-    *digest = d;
-    return static_cast<double>(sw.elapsed_ns());
-  };
-  LoopResult r;
-  r.name = "fuzz_replay";
-  r.unit = "execs";
-  r.sequences = sequences;
-  // Execs per run: each sequence runs the whole quick matrix once plus
-  // the reference-configuration determinism rerun.
-  r.work = sequences * (matrix + 1);
-  for (unsigned rep = 0; rep < g_repeat; ++rep) {
-    u64 ref_digest = 0;
-    u64 fast_digest = 0;
-    const double ref = run(false, &ref_digest);
-    const double fast = run(true, &fast_digest);
-    if (ref_digest != fast_digest) {
-      std::fprintf(stderr,
-                   "FATAL: fuzz_replay ledger diverged between fast and "
-                   "reference mode: digest %llx vs %llx\n",
-                   (unsigned long long)fast_digest,
-                   (unsigned long long)ref_digest);
-      std::abort();
-    }
-    if (rep == 0 || ref < r.ref_ns) r.ref_ns = ref;
-    if (rep == 0 || fast < r.fast_ns) r.fast_ns = fast;
-  }
-  return r;
-}
-
-/// Whole-campaign throughput: run_campaign end-to-end — generation,
-/// matrix execution, oracles, per-sequence determinism rerun, digest
-/// fold — the way `hypernel_fuzz` actually runs it.  Fast mode is the
-/// shipping fast configuration (fast path + snapshot-boot forking);
-/// reference boots every system fresh in reference mode.  The corpus
-/// digest must be identical across the two — the determinism contract
-/// `--seed=N` promises.
-LoopResult bench_campaign(u64 sequences) {
-  const u64 matrix = fuzz::build_matrix(/*full=*/false).size();
-  auto run = [&](bool fast_mode, u64* digest) {
-    fuzz::FuzzOptions opt;
-    opt.seed = 1;
-    opt.sequences = sequences;
-    opt.jobs = 1;  // single worker: measure the pipeline, not the pool
-    opt.host_fast_path = fast_mode;
-    opt.snapshot_boot = fast_mode;
-    Stopwatch sw;
-    const fuzz::CampaignResult result = fuzz::run_campaign(opt);
-    const double wall = static_cast<double>(sw.elapsed_ns());
-    if (!result.ok()) {
-      std::fprintf(stderr, "FATAL: campaign bench found %llu failures\n",
-                   (unsigned long long)result.failures);
-      std::abort();
-    }
-    *digest = result.corpus_digest;
-    return wall;
-  };
-  LoopResult r;
-  r.name = "campaign";
-  r.unit = "execs";
-  r.sequences = sequences;
-  r.work = sequences * (matrix + 1);  // +1: per-sequence determinism rerun
-  for (unsigned rep = 0; rep < g_repeat; ++rep) {
-    u64 ref_digest = 0;
-    u64 fast_digest = 0;
-    const double ref = run(false, &ref_digest);
-    const double fast = run(true, &fast_digest);
-    if (ref_digest != fast_digest) {
-      std::fprintf(stderr,
-                   "FATAL: campaign corpus digest diverged between fast "
-                   "and reference mode: %llx vs %llx\n",
-                   (unsigned long long)fast_digest,
-                   (unsigned long long)ref_digest);
-      std::abort();
-    }
-    if (rep == 0 || ref < r.ref_ns) r.ref_ns = ref;
-    if (rep == 0 || fast < r.fast_ns) r.fast_ns = fast;
-  }
-  return r;
-}
-
-/// Boot amortization of the fuzz harness: acquiring a ready-to-fuzz
-/// system by re-booting a fresh one per exec ("ref") versus forking it
-/// from a per-configuration boot snapshot via COW restore ("fast",
-/// hypernel_fuzz --snapshot-boot).  The exec payload is empty so the loop
-/// isolates the system-acquisition mechanism itself — op throughput on
-/// top of either path is fuzz_replay's job.  Fingerprints of every exec
-/// are asserted bit-identical across the two paths; the unit is execs,
-/// so the rate column is execs/sec.
-LoopResult bench_snapshot_fork(u64 execs_per_config) {
-  auto specs = fuzz::build_matrix(/*full=*/false);
-  auto run = [&](bool snapshot_boot, u64* digest) {
-    fuzz::ExecutorOptions exec;
-    exec.snapshot_boot = snapshot_boot;
-    const std::span<const fuzz::Op> no_ops;
-    Stopwatch sw;
-    u64 d = hypernel::kFnvOffset;
-    for (const fuzz::FuzzConfigSpec& spec : specs) {
-      for (u64 e = 0; e < execs_per_config; ++e) {
-        const fuzz::RunResult r = fuzz::run_sequence(spec, no_ops, exec);
-        if (r.build_failed) {
-          std::fprintf(stderr, "FATAL: snapshot_fork build failed: %s\n",
-                       r.build_error.c_str());
-          std::abort();
-        }
-        d = hypernel::fnv_fold(d, r.fingerprint.functional_hash());
-        d = hypernel::fnv_fold(d, r.fingerprint.op_digest);
-      }
-    }
-    *digest = d;
-    return static_cast<double>(sw.elapsed_ns());
-  };
-  LoopResult r;
-  r.name = "snapshot_fork";
-  r.unit = "execs";
-  r.work = execs_per_config * specs.size();
-  for (unsigned rep = 0; rep < g_repeat; ++rep) {
-    u64 ref_digest = 0;
-    u64 fast_digest = 0;
-    const double ref = run(false, &ref_digest);
-    const double fast = run(true, &fast_digest);
-    if (ref_digest != fast_digest) {
-      std::fprintf(stderr,
-                   "FATAL: snapshot_fork diverged from re-boot: "
-                   "digest %llx vs %llx\n",
-                   (unsigned long long)ref_digest,
-                   (unsigned long long)fast_digest);
-      std::abort();
-    }
-    if (rep == 0 || ref < r.ref_ns) r.ref_ns = ref;
-    if (rep == 0 || fast < r.fast_ns) r.fast_ns = fast;
-  }
-  return r;
-}
-
 void write_json(const std::string& path, bool quick,
                 const std::vector<LoopResult>& loops) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -508,20 +327,14 @@ void write_json(const std::string& path, bool quick,
   std::fprintf(f, "  \"quick\": %s,\n  \"loops\": [\n", quick ? "true" : "false");
   for (size_t i = 0; i < loops.size(); ++i) {
     const LoopResult& l = loops[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"unit\": \"%s\", \"work\": %llu, ",
-                 l.name.c_str(), l.unit, (unsigned long long)l.work);
-    if (l.sequences != 0) {
-      // End-to-end loops: the sequence count is the replay workload, the
-      // per-second rate below is execs/sec (sequence x config runs).
-      std::fprintf(f, "\"sequences\": %llu, ",
-                   (unsigned long long)l.sequences);
-    }
     std::fprintf(f,
+                 "    {\"name\": \"%s\", \"work\": %llu, "
                  "\"sim_cycles\": %llu, "
                  "\"ref_wall_ns\": %.0f, \"fast_wall_ns\": %.0f, "
                  "\"ref_per_s\": %.0f, "
                  "\"fast_per_s\": %.0f, "
                  "\"speedup\": %.3f}%s\n",
+                 l.name.c_str(), (unsigned long long)l.work,
                  (unsigned long long)l.sim_cycles, l.ref_ns, l.fast_ns,
                  l.ref_rate(), l.fast_rate(), l.speedup(),
                  i + 1 < loops.size() ? "," : "");
@@ -559,18 +372,15 @@ int main(int argc, char** argv) {
   loops.push_back(bench_walk_heavy(quick ? 50'000 : 500'000));
   loops.push_back(bench_s2_nested(quick ? 20'000 : 200'000));
   loops.push_back(bench_bulk_copy(quick ? 50 : 500));
-  loops.push_back(bench_fuzz_replay(quick ? 2 : 8));
-  loops.push_back(bench_campaign(quick ? 2 : 6));
-  loops.push_back(bench_snapshot_fork(quick ? 20 : 100));
 
   std::printf("Host-side simulation throughput (%s)\n",
               quick ? "quick" : "full");
-  std::printf("%-13s %12s %9s %14s %14s %9s\n", "loop", "work", "unit",
-              "ref work/s", "fast work/s", "speedup");
+  std::printf("%-13s %12s %14s %14s %9s\n", "loop", "accesses",
+              "ref access/s", "fast access/s", "speedup");
   for (const LoopResult& l : loops) {
-    std::printf("%-13s %12llu %9s %14.0f %14.0f %8.2fx\n", l.name.c_str(),
-                (unsigned long long)l.work, l.unit, l.ref_rate(),
-                l.fast_rate(), l.speedup());
+    std::printf("%-13s %12llu %14.0f %14.0f %8.2fx\n", l.name.c_str(),
+                (unsigned long long)l.work, l.ref_rate(), l.fast_rate(),
+                l.speedup());
   }
   write_json(out, quick, loops);
   std::printf("\nwrote %s\n", out.c_str());

@@ -39,6 +39,12 @@ bool verdict_chains_to_bus_write(const sim::TraceData& trace,
   return false;
 }
 
+void append_bool(std::string& out, bool v) { out += v ? "true" : "false"; }
+
+void append_u64(std::string& out, u64 v) { out += std::to_string(v); }
+
+}  // namespace
+
 ScorecardCell grade_cell(const AttackScenario& scenario,
                          const FuzzConfigSpec& spec, const RunResult& rec,
                          bool trace_attribution) {
@@ -88,12 +94,6 @@ ScorecardCell grade_cell(const AttackScenario& scenario,
   }
   return cell;
 }
-
-void append_bool(std::string& out, bool v) { out += v ? "true" : "false"; }
-
-void append_u64(std::string& out, u64 v) { out += std::to_string(v); }
-
-}  // namespace
 
 std::vector<FuzzConfigSpec> detector_configs() {
   std::vector<FuzzConfigSpec> specs;

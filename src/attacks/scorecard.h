@@ -114,6 +114,14 @@ struct Scorecard {
 /// SecurityApp each hosts.
 [[nodiscard]] std::vector<fuzz::FuzzConfigSpec> detector_configs();
 
+/// Grade one run of `scenario` under `spec` against the library's ground
+/// truth.  `trace_attribution` also walks `rec.trace_blob` for a causal
+/// chain from a verdict back to a bus write.
+[[nodiscard]] ScorecardCell grade_cell(const AttackScenario& scenario,
+                                       const fuzz::FuzzConfigSpec& spec,
+                                       const fuzz::RunResult& rec,
+                                       bool trace_attribution);
+
 /// Run the full (scenario x detector) matrix plus benign probes.
 [[nodiscard]] Scorecard run_scorecard(const ScorecardOptions& options = {});
 

@@ -71,6 +71,85 @@ struct Mapping {
   u64 len = 0;
 };
 
+// --- Booting -------------------------------------------------------------
+
+/// A booted system at the point every run starts its first op from: the
+/// configuration's detectors installed and the scratch buffer mapped.
+struct BootedSystem {
+  std::unique_ptr<hypernel::System> sys;
+  std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor;
+  std::unique_ptr<secapps::InvariantChecker> invariant;
+  std::unique_ptr<secapps::CfiMonitor> cfi;
+  VirtAddr scratch_va = 0;
+  u64 boot_ns = 0;  // System::create wall time (profile's kBoot share)
+};
+
+/// The one boot routine of the fresh-boot and snapshot-boot paths: build
+/// and boot `spec`'s system, install the monitor, invariant checker and
+/// CFI monitor in that order (the snapshot invariance suite pins the two
+/// paths bit-identical), then map the scratch buffer.  `opt` carries a
+/// fresh boot's per-run instrumentation: the registry, the flight
+/// recorder (on before the installs, so region registration is part of
+/// the causal record) and the profiler.  A boot session passes none.
+/// On failure `b` is left empty and the status message is the run's
+/// build_error.
+Status boot_system(const FuzzConfigSpec& spec, const ExecutorOptions& opt,
+                   BootedSystem& b) {
+  hypernel::SystemConfig cfg = spec.system_config();
+  cfg.metrics = opt.collect_metrics || opt.capture_trace;
+  const u64 boot_start = opt.profile ? obs::profile_now_ns() : 0;
+  auto built = hypernel::System::create(cfg);
+  if (!built.ok()) return built.status();
+  b.sys = std::move(built).value();
+  sim::Machine& m = b.sys->machine();
+  if (opt.profile) {
+    // System::create predates the machine's profiler; charge the whole
+    // build + boot stretch to kBoot by hand.
+    m.profiler().set_enabled(true);
+    m.profiler().reset();
+    b.boot_ns = obs::profile_now_ns() - boot_start;
+  }
+  if (opt.capture_trace) m.trace().set_enabled(true);
+  Status status;
+  if (spec.monitored()) {
+    b.monitor = std::make_unique<secapps::ObjectIntegrityMonitor>(
+        *b.sys, spec.granularity);
+    if (Status s = b.monitor->install(); !s.ok()) {
+      status = Status(s.code(), "monitor install: " + s.message());
+    }
+  }
+  if (status.ok() && spec.has_invariant_checker()) {
+    b.invariant = std::make_unique<secapps::InvariantChecker>(*b.sys);
+    if (Status s = b.invariant->install(); !s.ok()) {
+      status = Status(s.code(), "invariant checker install: " + s.message());
+    }
+  }
+  if (status.ok() && spec.has_cfi_monitor()) {
+    b.cfi = std::make_unique<secapps::CfiMonitor>(
+        *b.sys, /*watch_dentry_ops=*/!spec.monitored());
+    if (Status s = b.cfi->install(); !s.ok()) {
+      status = Status(s.code(), "cfi monitor install: " + s.message());
+    }
+  }
+  if (status.ok()) {
+    // Shared user scratch buffer for IPC payloads; part of every run, so
+    // it is itself configuration-invariant.
+    auto scratch = b.sys->kernel().sys_mmap(4 * kPageSize, /*writable=*/true);
+    if (scratch.ok()) {
+      b.scratch_va = scratch.value();
+      return status;
+    }
+    status = Status(scratch.status().code(),
+                    "scratch mmap: " + scratch.status().message());
+  }
+  // Detectors go before the system they watch.
+  b.cfi.reset();
+  b.invariant.reset();
+  b.monitor.reset();
+  b.sys.reset();
+  return status;
+}
+
 // --- Snapshot-boot sessions ------------------------------------------------
 //
 // ExecutorOptions::snapshot_boot forks every case from a boot-time COW
@@ -84,11 +163,7 @@ struct BootSession {
   /// Boot failures replay on every case, exactly like a fresh-boot run.
   bool build_failed = false;
   std::string build_error;
-  std::unique_ptr<hypernel::System> sys;
-  std::unique_ptr<secapps::ObjectIntegrityMonitor> monitor;
-  std::unique_ptr<secapps::InvariantChecker> invariant;
-  std::unique_ptr<secapps::CfiMonitor> cfi;
-  VirtAddr scratch_va = 0;
+  BootedSystem booted;
   sim::Snapshot boot;                // system state at the fork point
   std::vector<u8> monitor_state;     // executor-owned monitor, saved apart
   std::vector<u8> invariant_state;
@@ -114,8 +189,7 @@ u64 session_digest(const FuzzConfigSpec& spec) {
 }
 
 /// Find or create this worker's boot session for `spec`.  The fork point is
-/// the same state a fresh-boot run reaches before its first op: booted
-/// system + installed monitor + mapped scratch buffer.
+/// the same state a fresh-boot run reaches before its first op.
 BootSession& boot_session(const FuzzConfigSpec& spec) {
   thread_local std::vector<std::unique_ptr<BootSession>> sessions;
   const u64 digest = session_digest(spec);
@@ -124,66 +198,20 @@ BootSession& boot_session(const FuzzConfigSpec& spec) {
   }
   auto session = std::make_unique<BootSession>();
   session->digest = digest;
-  auto built = hypernel::System::create(spec.system_config());
-  if (!built.ok()) {
+  BootedSystem& b = session->booted;
+  if (Status s = boot_system(spec, ExecutorOptions{}, b); !s.ok()) {
     session->build_failed = true;
-    session->build_error = built.status().message();
+    session->build_error = s.message();
   } else {
-    session->sys = std::move(built).value();
-    // Detector install order (monitor -> invariant -> CFI) matches the
-    // fresh-boot path exactly: the snapshot invariance suite pins the two
-    // paths bit-identical.
-    if (spec.monitored()) {
-      session->monitor = std::make_unique<secapps::ObjectIntegrityMonitor>(
-          *session->sys, spec.granularity);
-      if (Status s = session->monitor->install(); !s.ok()) {
-        session->build_failed = true;
-        session->build_error = "monitor install: " + s.message();
-      }
-    }
-    if (!session->build_failed && spec.has_invariant_checker()) {
-      session->invariant =
-          std::make_unique<secapps::InvariantChecker>(*session->sys);
-      if (Status s = session->invariant->install(); !s.ok()) {
-        session->build_failed = true;
-        session->build_error = "invariant checker install: " + s.message();
-      }
-    }
-    if (!session->build_failed && spec.has_cfi_monitor()) {
-      session->cfi = std::make_unique<secapps::CfiMonitor>(
-          *session->sys, /*watch_dentry_ops=*/!spec.monitored());
-      if (Status s = session->cfi->install(); !s.ok()) {
-        session->build_failed = true;
-        session->build_error = "cfi monitor install: " + s.message();
-      }
-    }
-    if (!session->build_failed) {
-      auto scratch =
-          session->sys->kernel().sys_mmap(4 * kPageSize, /*writable=*/true);
-      if (!scratch.ok()) {
-        session->build_failed = true;
-        session->build_error = "scratch mmap: " + scratch.status().message();
-      } else {
-        session->scratch_va = scratch.value();
-        session->boot = session->sys->save_state();
-        auto blob = [](const auto& app) {
-          sim::SnapWriter w;
-          app->save_state(w);
-          return w.take();
-        };
-        if (session->monitor) session->monitor_state = blob(session->monitor);
-        if (session->invariant) {
-          session->invariant_state = blob(session->invariant);
-        }
-        if (session->cfi) session->cfi_state = blob(session->cfi);
-      }
-    }
-    if (session->build_failed) {
-      session->cfi.reset();
-      session->invariant.reset();
-      session->monitor.reset();
-      session->sys.reset();
-    }
+    session->boot = b.sys->save_state();
+    auto blob = [](const auto& app) {
+      sim::SnapWriter w;
+      app->save_state(w);
+      return w.take();
+    };
+    if (b.monitor) session->monitor_state = blob(b.monitor);
+    if (b.invariant) session->invariant_state = blob(b.invariant);
+    if (b.cfi) session->cfi_state = blob(b.cfi);
   }
   sessions.push_back(std::move(session));
   return *sessions.back();
@@ -284,8 +312,8 @@ class Exec {
     if (opt_.profile) {
       out.profile = m().profiler().report();
       constexpr auto kBoot = static_cast<unsigned>(obs::ProfileBucket::kBoot);
-      out.profile.self_ns[kBoot] += boot_ns_;
-      if (boot_ns_ != 0) out.profile.scopes[kBoot] += 1;
+      out.profile.self_ns[kBoot] += owned_.boot_ns;
+      if (owned_.boot_ns != 0) out.profile.scopes[kBoot] += 1;
     }
     return out;
   }
@@ -304,17 +332,18 @@ class Exec {
         out.build_error = session.build_error;
         return false;
       }
+      BootedSystem& booted = session.booted;
       if (opt_.profile) {
         // The session machine persists across runs on this worker; arm and
         // zero its profiler so each RunResult carries only its own time.
-        session.sys->machine().profiler().set_enabled(true);
-        session.sys->machine().profiler().reset();
+        booted.sys->machine().profiler().set_enabled(true);
+        booted.sys->machine().profiler().reset();
       }
-      obs::SelfProfiler::Scope prof(session.sys->machine().profiler(),
+      obs::SelfProfiler::Scope prof(booted.sys->machine().profiler(),
                                     obs::ProfileBucket::kSnapshot);
       // Every case restores — including the first, right after the boot
       // that produced the snapshot — so all cases share one start state.
-      if (Status s = session.sys->restore_state(session.boot); !s.ok()) {
+      if (Status s = booted.sys->restore_state(session.boot); !s.ok()) {
         out.build_failed = true;
         out.build_error = "snapshot restore: " + s.message();
         return false;
@@ -332,17 +361,13 @@ class Exec {
         }
         return true;
       };
-      if (!restore_blob(session.monitor, session.monitor_state, "monitor") ||
-          !restore_blob(session.invariant, session.invariant_state,
+      if (!restore_blob(booted.monitor, session.monitor_state, "monitor") ||
+          !restore_blob(booted.invariant, session.invariant_state,
                         "invariant checker") ||
-          !restore_blob(session.cfi, session.cfi_state, "cfi monitor")) {
+          !restore_blob(booted.cfi, session.cfi_state, "cfi monitor")) {
         return false;
       }
-      sys_ = session.sys.get();
-      monitor_ = session.monitor.get();
-      invariant_ = session.invariant.get();
-      cfi_ = session.cfi.get();
-      scratch_va_ = session.scratch_va;
+      adopt(booted);
       // Arm the sampler at the op-phase fork point.  restore_state just
       // cleared samples and disarmed, the restored cycle counts equal the
       // fresh-boot path's, and boundaries are absolute — so the sampled
@@ -351,70 +376,26 @@ class Exec {
       return true;
     }
 
-    hypernel::SystemConfig cfg = spec_.system_config();
-    cfg.metrics = opt_.collect_metrics || opt_.capture_trace;
-    const u64 boot_start = obs::profile_now_ns();
-    auto built = hypernel::System::create(cfg);
-    if (!built.ok()) {
+    if (Status s = boot_system(spec_, opt_, owned_); !s.ok()) {
       out.build_failed = true;
-      out.build_error = built.status().message();
+      out.build_error = s.message();
       return false;
     }
-    owned_sys_ = std::move(built).value();
-    sys_ = owned_sys_.get();
-    if (opt_.profile) {
-      // System::create predates the machine's profiler; charge the whole
-      // build + boot stretch to kBoot by hand.
-      m().profiler().set_enabled(true);
-      m().profiler().reset();
-      boot_ns_ = obs::profile_now_ns() - boot_start;
-    }
-    // Whole-run flight recorder, on before the monitor installs so region
-    // registration is part of the causal record.
-    if (opt_.capture_trace) m().trace().set_enabled(true);
-    if (spec_.monitored()) {
-      owned_monitor_ = std::make_unique<secapps::ObjectIntegrityMonitor>(
-          *sys_, spec_.granularity);
-      if (Status s = owned_monitor_->install(); !s.ok()) {
-        out.build_failed = true;
-        out.build_error = "monitor install: " + s.message();
-        return false;
-      }
-      monitor_ = owned_monitor_.get();
-    }
-    if (spec_.has_invariant_checker()) {
-      owned_invariant_ = std::make_unique<secapps::InvariantChecker>(*sys_);
-      if (Status s = owned_invariant_->install(); !s.ok()) {
-        out.build_failed = true;
-        out.build_error = "invariant checker install: " + s.message();
-        return false;
-      }
-      invariant_ = owned_invariant_.get();
-    }
-    if (spec_.has_cfi_monitor()) {
-      owned_cfi_ = std::make_unique<secapps::CfiMonitor>(
-          *sys_, /*watch_dentry_ops=*/!spec_.monitored());
-      if (Status s = owned_cfi_->install(); !s.ok()) {
-        out.build_failed = true;
-        out.build_error = "cfi monitor install: " + s.message();
-        return false;
-      }
-      cfi_ = owned_cfi_.get();
-    }
-    // Shared user scratch buffer for IPC payloads; part of every run, so
-    // it is itself configuration-invariant.
-    auto scratch = sys_->kernel().sys_mmap(4 * kPageSize, /*writable=*/true);
-    if (!scratch.ok()) {
-      out.build_failed = true;
-      out.build_error = "scratch mmap: " + scratch.status().message();
-      return false;
-    }
-    scratch_va_ = scratch.value();
+    adopt(owned_);
     // Arm the sampler at the same point the snapshot path does (right
     // after boot + installs + scratch mmap) so both paths stamp the same
     // absolute boundaries from the same baseline.
     if (opt_.sample_cycles != 0) m().arm_timeseries(opt_.sample_cycles);
     return true;
+  }
+
+  /// Point the run at a booted system (owned by this Exec or a session).
+  void adopt(const BootedSystem& b) {
+    sys_ = b.sys.get();
+    monitor_ = b.monitor.get();
+    invariant_ = b.invariant.get();
+    cfi_ = b.cfi.get();
+    scratch_va_ = b.scratch_va;
   }
 
   kernel::Kernel& k() { return sys_->kernel(); }
@@ -1167,18 +1148,14 @@ class Exec {
   const FuzzConfigSpec& spec_;
   const ExecutorOptions& opt_;
   // Fresh-boot path: the Exec owns the system; snapshot-boot path: the
-  // thread-local BootSession does, and these stay empty.
-  std::unique_ptr<hypernel::System> owned_sys_;
-  std::unique_ptr<secapps::ObjectIntegrityMonitor> owned_monitor_;
-  std::unique_ptr<secapps::InvariantChecker> owned_invariant_;
-  std::unique_ptr<secapps::CfiMonitor> owned_cfi_;
+  // thread-local BootSession does, and this stays empty.
+  BootedSystem owned_;
   hypernel::System* sys_ = nullptr;
   secapps::ObjectIntegrityMonitor* monitor_ = nullptr;
   secapps::InvariantChecker* invariant_ = nullptr;
   secapps::CfiMonitor* cfi_ = nullptr;
   sim::Iommu iommu_;  // bypass mode: DMA passes in every configuration
   VirtAddr scratch_va_ = 0;
-  u64 boot_ns_ = 0;  // System::create wall time (profile's kBoot share)
   size_t step_ = 0;
   OpKind cur_kind_ = OpKind::kCreat;
   std::vector<std::string> violations_;

@@ -34,6 +34,9 @@ void TimeSeries::enroll(std::string name, TrackKind kind, Probe probe) {
   t.kind = kind;
   t.probe = std::move(probe);
   tracks_.push_back(std::move(t));
+  // Rows sampled before this track existed get a 0 column (no counter
+  // delta, no level observed yet), so every row spans every track.
+  for (TimeSeriesSample& row : samples_) row.values.push_back(0);
 }
 
 void TimeSeries::arm(Cycles interval, Cycles now) {
@@ -69,14 +72,10 @@ void TimeSeries::unenroll_prefix(std::string_view prefix) {
   tracks.reserve(keep.size());
   for (const size_t i : keep) tracks.push_back(std::move(tracks_[i]));
   tracks_ = std::move(tracks);
-  // Rows sampled before a later enroll() are shorter than the track list:
-  // they keep only the columns they have.
   for (TimeSeriesSample& row : samples_) {
     std::vector<u64> values;
     values.reserve(keep.size());
-    for (const size_t i : keep) {
-      if (i < row.values.size()) values.push_back(row.values[i]);
-    }
+    for (const size_t i : keep) values.push_back(row.values[i]);
     row.values = std::move(values);
   }
 }

@@ -101,7 +101,8 @@ class TimeSeries {
 
   /// Enroll a track.  Enrollment order is serialization order, so
   /// enroll in deterministic (construction) order only.  Probes must be
-  /// pure reads of simulated state.
+  /// pure reads of simulated state.  Rows already sampled read 0 in the
+  /// new track's column.
   void enroll(std::string name, TrackKind kind, Probe probe);
   /// Sugar: registry handles as probes (handles are stable pointer
   /// pairs, safe to copy into the lambda).

@@ -12,6 +12,7 @@
 
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/scenario.h"
@@ -84,10 +85,16 @@ void run_corpus_invariance(bool host_fast_path) {
   snapshot_boot.snapshot_boot = true;
   std::vector<FuzzConfigSpec> specs = build_matrix(/*full=*/false);
   for (FuzzConfigSpec& spec : specs) spec.host_fast_path = host_fast_path;
+  // The zero-op program first: the fork point itself must equal a boot.
+  std::vector<std::pair<std::string, std::vector<Op>>> programs = {
+      {"zero-op program", {}}};
   for (const u64 seed : load_corpus()) {
-    const std::vector<Op> ops = generate_sequence(seed, gen);
+    programs.emplace_back("seed " + std::to_string(seed),
+                          generate_sequence(seed, gen));
+  }
+  for (const auto& [label, ops] : programs) {
     for (const FuzzConfigSpec& spec : specs) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " config " + spec.name);
+      SCOPED_TRACE(label + " config " + spec.name);
       expect_identical_runs(run_sequence(spec, ops, fresh_boot),
                             run_sequence(spec, ops, snapshot_boot));
     }

@@ -154,29 +154,58 @@ TEST(TimeSeries, UnenrollPrefixDropsTracksAndColumns) {
 }
 
 TEST(TimeSeries, UnenrollPrefixKeepsRowsSampledBeforeALaterEnroll) {
-  // A row sampled before a later enroll() is shorter than the track list;
-  // unenrolling must drop its columns without reading past its end.
+  // A row sampled before a later enroll() reads 0 in the new column;
+  // unenrolling drops the matching column from every row alike.
   TimeSeries ts;
   u64 x = 0;
   ts.enroll("sim.core0.cycles", TrackKind::kCounter, [&] { return x; });
   ts.enroll("mbm.detections", TrackKind::kCounter, [&] { return x; });
   ts.arm(10, 0);
   x = 4;
-  ts.poll(10);  // row 0: two columns
+  ts.poll(10);  // row 0: sampled with two tracks
   ts.enroll("hypersec.irqs", TrackKind::kLevel, [&] { return x; });
   x = 6;
-  ts.poll(20);  // row 1: three columns
+  ts.poll(20);  // row 1: sampled with three tracks
 
   ts.unenroll_prefix("mbm.");
   const TimeSeriesData data = ts.data(20);
   ASSERT_EQ(data.tracks.size(), 2u);
   EXPECT_EQ(data.tracks[1].name, "hypersec.irqs");
   ASSERT_EQ(data.samples.size(), 2u);
-  ASSERT_EQ(data.samples[0].values.size(), 1u);
+  ASSERT_EQ(data.samples[0].values.size(), 2u);
   EXPECT_EQ(data.samples[0].values[0], 4u);
+  EXPECT_EQ(data.samples[0].values[1], 0u);  // padded at enroll
   ASSERT_EQ(data.samples[1].values.size(), 2u);
   EXPECT_EQ(data.samples[1].values[0], 2u);
   EXPECT_EQ(data.samples[1].values[1], 6u);
+}
+
+TEST(TimeSeries, LateEnrollStreamRoundTrips) {
+  // A track enrolled after sampling began (a monitor installed on a
+  // sampled machine) must still give a stream parse_timeseries accepts,
+  // with every row as wide as the track list.
+  TimeSeries ts;
+  u64 work = 0;
+  u64 events = 0;
+  ts.enroll("work", TrackKind::kCounter, [&] { return work; });
+  ts.arm(10, 0);
+  work = 3;
+  ts.poll(20);  // rows at 10 and 20 with one track
+  ts.enroll("events", TrackKind::kCounter, [&] { return events; });
+  work = 5;
+  events = 7;
+  ts.poll(30);
+  TimeSeriesData data = ts.data(35);
+  data.cpu_ghz = 1.0;
+  ASSERT_EQ(data.samples.size(), 4u);  // 10, 20, 30 and the flush at 35
+  for (const TimeSeriesSample& row : data.samples) {
+    EXPECT_EQ(row.values.size(), 2u) << "row at " << row.at;
+  }
+  TimeSeriesData parsed;
+  ASSERT_TRUE(parse_timeseries(serialize_timeseries(data), parsed).ok());
+  EXPECT_EQ(parsed, data);
+  EXPECT_EQ(parsed.track_total("work"), 5u);
+  EXPECT_EQ(parsed.track_total("events"), 7u);
 }
 
 TEST(TimeSeries, TrackTotalLevelReportsLastValue) {

@@ -11,7 +11,7 @@ more than 25%, or whose absolute fast-path rate dropped more than 15%,
 relative to the baseline.  The rate check is the sharper signal: a
 simulator change that slows the fast path *and* the reference path alike
 (the SMP failure mode — extra per-access work on the shared bus) leaves
-the speedup ratio flat while replay throughput quietly sinks.  Always
+the speedup ratio flat while access throughput quietly sinks.  Always
 exits 0: CI-runner noise must never gate a merge; the warning is the
 signal to look.
 """
@@ -37,12 +37,6 @@ def fmt_rate(rate):
     return f"{rate:.0f}/s"
 
 
-def rate(loop, key):
-    """Per-second rate, accepting both the current schema (ref_per_s /
-    fast_per_s) and the pre-unit one (ref_accesses_per_s / ...)."""
-    return loop.get(f"{key}_per_s", loop.get(f"{key}_accesses_per_s", 0))
-
-
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -56,8 +50,8 @@ def main(argv):
     lines = [
         "## Sim throughput (quick)",
         "",
-        "| loop | unit | ref | fast | speedup | baseline | delta | fast delta |",
-        "|---|---|---|---|---|---|---|---|",
+        "| loop | ref | fast | speedup | baseline | delta | fast delta |",
+        "|---|---|---|---|---|---|---|",
     ]
     warnings = []
     for loop in results["loops"]:
@@ -73,22 +67,21 @@ def main(argv):
                     f"{name}: speedup {loop['speedup']:.2f}x vs baseline "
                     f"{base_speedup:.2f}x ({100 * rel:+.0f}%)"
                 )
-        base_fast = rate(base, "fast") if base else 0
+        base_fast = base["fast_per_s"] if base else 0
         fast_delta = ""
         if base_fast:
-            rel_fast = rate(loop, "fast") / base_fast - 1.0
+            rel_fast = loop["fast_per_s"] / base_fast - 1.0
             fast_delta = f"{100 * rel_fast:+.0f}%"
             if rel_fast < -FAST_RATE_THRESHOLD:
                 warnings.append(
-                    f"{name}: fast rate {fmt_rate(rate(loop, 'fast'))} vs "
+                    f"{name}: fast rate {fmt_rate(loop['fast_per_s'])} vs "
                     f"baseline {fmt_rate(base_fast)} ({100 * rel_fast:+.0f}%)"
                 )
         lines.append(
-            "| {} | {} | {} | {} | {:.2f}x | {} | {} | {} |".format(
+            "| {} | {} | {} | {:.2f}x | {} | {} | {} |".format(
                 name,
-                loop.get("unit", "accesses"),
-                fmt_rate(rate(loop, "ref")),
-                fmt_rate(rate(loop, "fast")),
+                fmt_rate(loop["ref_per_s"]),
+                fmt_rate(loop["fast_per_s"]),
                 loop["speedup"],
                 f"{base_speedup:.2f}x" if base_speedup else "—",
                 delta or "—",
@@ -96,24 +89,6 @@ def main(argv):
             )
         )
 
-    # End-to-end replay speed: the loops the fast-path work optimises for.
-    # Reported explicitly (execs/sec + speedup) so the step summary answers
-    # "did replay get faster" without reading the whole table.
-    e2e = [l for l in results["loops"] if l["name"] in ("fuzz_replay", "campaign")]
-    if e2e:
-        lines += ["", "### End-to-end replay (fast vs reference)", ""]
-        for loop in e2e:
-            base = base_loops.get(loop["name"])
-            lines.append(
-                "- **{}**: {} execs fast vs {} reference — "
-                "**{:.2f}x** (baseline {})".format(
-                    loop["name"],
-                    fmt_rate(rate(loop, "fast")),
-                    fmt_rate(rate(loop, "ref")),
-                    loop["speedup"],
-                    f"{base['speedup']:.2f}x" if base else "—",
-                )
-            )
     if warnings:
         lines += ["", "**Perf regressions vs committed baseline — speedup "
                       ">25% or fast rate >15% (non-gating; runner noise is "

@@ -4,29 +4,31 @@
 //   hypernel-sim app      --name=<whetstone|dhrystone|untar|iozone|apache>
 //                         [--mode=...] [--scale=X] [--seed=N]
 //                         [--monitor=none|word|object]
-//   hypernel-sim attack   --scenario=<cred|dentry|transient|dma>
+//   hypernel-sim attack   --scenario=<slug|cred|dentry|transient|dma>
+//                         [--trace]
 //   hypernel-sim audit    (forged-hypercall storm + invariant audit)
 //   hypernel-sim info     (configuration and timing-model dump)
 //
-// Every command also takes --save-state / --load-state and four common
-// run flags (tools/run_options.h); a bad flag or failed write exits 2.
+// Every command but attack also takes --save-state / --load-state, and
+// every command four common run flags (tools/run_options.h); a bad flag
+// or failed write exits 2.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "attacks/scenario.h"
+#include "attacks/scorecard.h"
 #include "common/hvc_abi.h"
 #include "common/parse.h"
 #include "common/rng.h"
+#include "fuzz/executor.h"
 #include "hypernel/system.h"
-#include "kernel/objects.h"
-#include "kernel/vfs.h"
 #include "secapps/object_monitor.h"
-#include "secapps/rootkit_detector.h"
-#include "sim/dma_device.h"
-#include "sim/iommu.h"
 #include "sim/snapshot.h"
 #include "sim/trace_io.h"
 #include "tools/run_options.h"
@@ -60,7 +62,23 @@ struct Options {
 /// Largest --scale: 16x the paper-sized runs.
 constexpr double kMaxAppScale = 16;
 
-constexpr const char* kScenarios[] = {"cred", "dentry", "transient", "dma"};
+/// The attack demo's first four names, kept as aliases of library
+/// scenarios.  Every library tamper op writes and then restores its word,
+/// so the transient attack is the setuid cred theft.
+constexpr std::pair<std::string_view, std::string_view> kScenarioAliases[] = {
+    {"cred", "cred-theft-setuid"},
+    {"dentry", "dentry-hide-vtable"},
+    {"dma", "cred-theft-dma"},
+    {"transient", "cred-theft-setuid"},
+};
+
+/// Library lookup by slug or alias; nullptr when unknown.
+const attacks::AttackScenario* find_attack(std::string_view name) {
+  for (const auto& [alias, slug] : kScenarioAliases) {
+    if (name == alias) return attacks::find_scenario(slug);
+  }
+  return attacks::find_scenario(name);
+}
 
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
@@ -111,8 +129,7 @@ bool parse(int argc, char** argv, Options& opt) {
       }
       opt.monitor = monitor;
     } else if ((v = flag_value(arg, "--scenario"))) {
-      auto same = [v](const char* n) { return std::strcmp(n, v) == 0; };
-      if (std::ranges::none_of(kScenarios, same)) {
+      if (find_attack(v) == nullptr) {
         std::fprintf(stderr, "unknown scenario '%s'\n", v);
         return false;
       }
@@ -131,6 +148,12 @@ bool parse(int argc, char** argv, Options& opt) {
   if (opt.command == "app" && opt.monitor != "none" &&
       opt.mode != hypernel::Mode::kHypernel) {
     std::fprintf(stderr, "--monitor requires --mode=hypernel\n");
+    return false;
+  }
+  if (opt.command == "attack" &&
+      (!opt.save_state.empty() || !opt.load_state.empty())) {
+    // The fuzz executor builds and owns the attacked system.
+    std::fprintf(stderr, "attack takes no --save-state/--load-state\n");
     return false;
   }
   return true;
@@ -253,51 +276,62 @@ int cmd_app(const Options& opt) {
   return dump_outputs(opt, *sys) ? 0 : 2;
 }
 
+/// Replay one library scenario under its intended detector, exactly as
+/// the scorecard runs that cell.  Exit 0 only when the detector raised the
+/// scenario's declared alert at or after the tamper.
 int cmd_attack(const Options& opt) {
-  Options hy = opt;
-  hy.mode = hypernel::Mode::kHypernel;
-  auto sys = build(hy, true);
-  secapps::RootkitDetector detector(*sys);
-  if (!detector.install().ok()) return 1;
-  if (opt.trace) sys->machine().trace().set_enabled(true);
-  kernel::Kernel& k = sys->kernel();
-  k.sys_setuid(1000);
-  k.sys_creat("/target");
-  const VirtAddr dva = k.vfs().cached_dentry(k.vfs().root_ino(), "target");
-  const VirtAddr cred = k.procs().current().cred;
-
-  if (opt.scenario == "cred") {
-    sys->machine().write64(cred + kernel::CredLayout::kUid * kWordSize, 0);
-  } else if (opt.scenario == "dentry") {
-    sys->machine().write64(dva + kernel::DentryLayout::kOp * kWordSize,
-                           0xE71100);
-  } else if (opt.scenario == "transient") {
-    sys->machine().write64(cred + kernel::CredLayout::kEuid * kWordSize, 0);
-    sys->machine().write64(cred + kernel::CredLayout::kEuid * kWordSize, 1000);
-  } else {  // "dma": parse() admits only the kScenarios names
-    sim::Iommu iommu;  // attacker-owned device, IOMMU left in bypass
-    sim::DmaDevice evil(sys->machine(), iommu, 13);
-    evil.write64(kernel::virt_to_phys(dva) +
-                     kernel::DentryLayout::kInode * kWordSize,
-                 0x1337);
+  const attacks::AttackScenario& scenario = *find_attack(opt.scenario);
+  fuzz::FuzzConfigSpec spec;
+  for (const fuzz::FuzzConfigSpec& s : attacks::detector_configs()) {
+    if (s.name == scenario.intended_detector) spec = s;
   }
+  fuzz::ExecutorOptions exec;
+  if (opt.trace) exec.trace_step = scenario.tamper_steps.front();
+  exec.collect_metrics = !opt.run.metrics_out.empty();
+  exec.capture_trace = !opt.run.trace_out.empty();
+  exec.sample_cycles = opt.run.sample_cycles;
+  const fuzz::RunResult run = fuzz::run_sequence(spec, scenario.ops, exec);
+  if (run.build_failed) {
+    std::fprintf(stderr, "system creation failed: %s\n",
+                 run.build_error.c_str());
+    return 1;
+  }
+  const attacks::ScorecardCell cell = attacks::grade_cell(
+      scenario, spec, run, /*trace_attribution=*/exec.capture_trace);
 
+  std::printf("scenario '%s' (%s): %s\n", scenario.name.c_str(),
+              attacks::family_name(scenario.family),
+              scenario.description.c_str());
   if (opt.trace) {
-    std::printf("--- architectural trace ---\n");
-    sys->machine().trace().dump(stdout,
-                                sys->machine().timing().cpu_ghz * 1000.0);
+    std::printf("--- architectural trace (tamper step %llu) ---\n",
+                (unsigned long long)exec.trace_step);
+    for (const std::string& line : run.trace) {
+      std::printf("%s\n", line.c_str());
+    }
   }
-  std::printf("scenario '%s': %zu alert(s)\n", opt.scenario.c_str(),
-              detector.alerts().size());
-  for (const secapps::Alert& a : detector.alerts()) {
-    std::printf("  [%s] %s (word %llu: %llx -> %llx)\n",
-                secapps::alert_kind_name(a.kind),
-                a.reason.c_str(), (unsigned long long)a.word_offset,
-                (unsigned long long)a.old_value,
-                (unsigned long long)a.new_value);
+  std::printf("%s: %zu alert(s)\n", spec.name.c_str(), run.alert_log.size());
+  for (const fuzz::AlertRecord& a : run.alert_log) {
+    std::printf("  [%s] pa=%#llx at %llu cy\n",
+                secapps::alert_kind_name(a.kind), (unsigned long long)a.pa,
+                (unsigned long long)a.at);
   }
-  if (!dump_outputs(opt, *sys)) return 2;
-  return detector.alerts().empty() ? 1 : 0;
+  if (cell.expected_seen) {
+    std::printf("detected: %s, %llu cycles after the tamper\n",
+                secapps::alert_kind_name(scenario.expected_alert),
+                (unsigned long long)cell.latency);
+  } else {
+    std::printf("MISSED: no %s at or after the tamper\n",
+                secapps::alert_kind_name(scenario.expected_alert));
+  }
+  if (exec.capture_trace) {
+    std::printf("causal chain to a bus write: %s\n",
+                cell.attributed ? "yes" : "no");
+  }
+  if (!tools::write_artifacts(opt.run, run.metrics, run.trace_blob,
+                              run.timeseries_blob, opt.command)) {
+    return 2;
+  }
+  return cell.expected_seen ? 0 : 1;
 }
 
 int cmd_audit(const Options& opt) {
@@ -365,12 +399,14 @@ void usage() {
       "  app     --name=<whetstone|dhrystone|untar|iozone|apache>\n"
       "          [--mode=...] [--scale=X] [--seed=N] [--monitor=none|word|object]\n"
       "          (X: decimal in (0, 16]; 1 = paper-sized run, default 0.2)\n"
-      "  attack  --scenario=<cred|dentry|transient|dma> [--trace]\n"
+      "  attack  --scenario=S [--trace]  (S: a scenario-library slug, or\n"
+      "          cred|dentry|transient|dma)\n"
       "  audit   [--seed=N]\n"
       "  info    [--mode=...]\n"
-      "  --save-state=F / --load-state=F: write the machine snapshot at\n"
-      "  exit / restore one right after boot (the configuration must match\n"
-      "  the one the snapshot was taken from).  Every command also takes:\n",
+      "  --save-state=F / --load-state=F (not attack): write the machine\n"
+      "  snapshot at exit / restore one right after boot (the configuration\n"
+      "  must match the one the snapshot was taken from).  Every command\n"
+      "  also takes:\n",
       stderr);
   std::fputs(tools::run_flags_usage(kRunFlags).c_str(), stderr);
 }
