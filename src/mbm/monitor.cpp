@@ -1,7 +1,6 @@
 #include "mbm/monitor.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace hn::mbm {
 
@@ -64,9 +63,13 @@ void MemoryBusMonitor::on_transaction(const sim::BusTransaction& txn) {
     case sim::BusOp::kWriteLine: {
       if (!config_.snoop_line_writebacks) return;
       ++snooped_line_writes_;
+      // The write-back carries no payload: memory holds the final line
+      // contents at this instant.  Copy them before the first word, since
+      // handling a word may run code that writes the line again.
+      u64 line[kCacheLineSize / kWordSize];
+      machine_.phys().read_block(txn.paddr, line, kCacheLineSize);
       for (u64 off = 0; off < kCacheLineSize; off += kWordSize) {
-        u64 v;
-        std::memcpy(&v, txn.line.data() + off, kWordSize);
+        const u64 v = line[off / kWordSize];
         handle_word_write(txn.paddr + off, v, txn.timestamp,
                           /*from_line=*/true, txn.trace_seq);
       }

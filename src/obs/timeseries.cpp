@@ -45,6 +45,7 @@ void TimeSeries::arm(Cycles interval, Cycles now) {
   interval_ = interval;
   if (interval == 0) return;
   for (Track& t : tracks_) t.prev = t.probe();
+  base_at_ = now;
   // First boundary strictly after `now`: absolute multiples of the
   // interval, so identical arm cycles give identical stamps.
   next_at_ = (now / interval + 1) * interval;
@@ -80,20 +81,40 @@ void TimeSeries::unenroll_prefix(std::string_view prefix) {
   }
 }
 
-void TimeSeries::sample_at(Cycles at) {
-  TimeSeriesSample row;
-  row.at = at;
-  row.values.reserve(tracks_.size());
-  for (Track& t : tracks_) {
-    const u64 cur = t.probe();
-    if (t.kind == TrackKind::kCounter) {
-      row.values.push_back(cur - t.prev);
-      t.prev = cur;
-    } else {
-      row.values.push_back(cur);
-    }
+void TimeSeries::emit_rows(Cycles now) {
+  // Every probe is read once, at `now`.  A counter's increase since its
+  // baseline accrued over (base_at_, now]; the row at boundary b gets the
+  // part of it due up to b in proportion to elapsed cycles, less what
+  // earlier rows got.  span > 0 because base_at_ < next_at_ <= now.
+  const Cycles span = now - base_at_;
+  std::vector<u64> reading(tracks_.size());
+  std::vector<u64> emitted(tracks_.size(), 0);
+  for (size_t i = 0; i < tracks_.size(); ++i) {
+    const Track& t = tracks_[i];
+    reading[i] = t.kind == TrackKind::kCounter ? t.probe() - t.prev : t.probe();
   }
-  samples_.push_back(std::move(row));
+  for (; next_at_ <= now; next_at_ += interval_) {
+    const Cycles elapsed = next_at_ - base_at_;
+    TimeSeriesSample row;
+    row.at = next_at_;
+    row.values.reserve(tracks_.size());
+    for (size_t i = 0; i < tracks_.size(); ++i) {
+      if (tracks_[i].kind == TrackKind::kLevel) {
+        row.values.push_back(reading[i]);
+        continue;
+      }
+      // 128-bit product: increase x elapsed cycles can exceed 64 bits.
+      const auto due = static_cast<u64>(
+          static_cast<unsigned __int128>(reading[i]) * elapsed / span);
+      row.values.push_back(due - emitted[i]);
+      emitted[i] = due;
+    }
+    samples_.push_back(std::move(row));
+  }
+  // The baselines advance to the last boundary; the share of the partial
+  // window after it stays in (probe - prev) for the next row.
+  base_at_ = next_at_ - interval_;
+  for (size_t i = 0; i < tracks_.size(); ++i) tracks_[i].prev += emitted[i];
 }
 
 TimeSeriesData TimeSeries::data(Cycles now) const {

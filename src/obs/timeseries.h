@@ -29,6 +29,13 @@
 // (multiples of the interval since cycle 0), so re-arming at the same
 // simulated cycle reproduces the same stamps.  Disabled cost is one
 // load + branch (armed()).
+//
+// A counter's increase since the previous row is spread over the elapsed
+// cycles: each crossed window gets its share in proportion to its
+// cycles, and the share of the partial window past the last boundary
+// carries into the next row.  So a charge that spans several windows
+// fills each of them instead of landing whole in the first one, and the
+// sums still telescope exactly.
 #pragma once
 
 #include <functional>
@@ -125,14 +132,12 @@ class TimeSeries {
   [[nodiscard]] bool armed() const { return interval_ != 0; }
 
   /// The sampling hook: emit one row per interval boundary in
-  /// (last, now], each stamped at its boundary cycle.  Callers gate on
+  /// (last, now], each stamped at its boundary cycle (counter shares as
+  /// in the header comment; levels as read now).  Callers gate on
   /// armed() first.  `now` regressions (bus-local clocks on core
   /// switches) are harmless: boundaries only ever advance.
   void poll(Cycles now) {
-    while (interval_ != 0 && now >= next_at_) {
-      sample_at(next_at_);
-      next_at_ += interval_;
-    }
+    if (interval_ != 0 && now >= next_at_) emit_rows(now);
   }
 
   /// Drop samples and disarm, keeping enrollment (snapshot restore:
@@ -157,19 +162,20 @@ class TimeSeries {
   [[nodiscard]] size_t sample_count() const { return samples_.size(); }
 
  private:
-  void sample_at(Cycles at);
+  void emit_rows(Cycles now);
 
   struct Track {
     std::string name;
     TrackKind kind = TrackKind::kCounter;
     Probe probe;
-    u64 prev = 0;  // kCounter: baseline of the delta
+    u64 prev = 0;  // kCounter: probe value already emitted up to base_at_
   };
 
   std::vector<Track> tracks_;
   std::vector<TimeSeriesSample> samples_;
   Cycles interval_ = 0;  // 0 = disarmed
   Cycles next_at_ = 0;   // absolute cycle of the next boundary
+  Cycles base_at_ = 0;   // cycle the counter baselines (prev) stand at
 };
 
 // --- Binary format -----------------------------------------------------------

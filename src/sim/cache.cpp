@@ -16,18 +16,18 @@ Cache::Cache(const CacheConfig& config, PhysicalMemory& mem, MemoryBus& bus,
   assert(config_.ways >= 1);
   const u64 total_lines = config_.size_bytes / kCacheLineSize;
   assert(total_lines % config_.ways == 0);
-  num_sets_ = total_lines / config_.ways;
-  assert(is_pow2(num_sets_));
+  const u64 num_sets = total_lines / config_.ways;
+  assert(is_pow2(num_sets));
+  set_mask_ = num_sets - 1;
   lines_.resize(total_lines);
-  victim_.resize(num_sets_, 0);
+  victim_.resize(num_sets, 0);
 }
 
 Cache::Line* Cache::find_line(PhysAddr pa) {
   const PhysAddr base = pa & ~(kCacheLineSize - 1);
-  const u64 set = set_index(pa);
+  Line* set = &lines_[set_index(pa) * config_.ways];
   for (unsigned w = 0; w < config_.ways; ++w) {
-    Line& line = lines_[set * config_.ways + w];
-    if (line.valid && line.base == base) return &line;
+    if (set[w].valid && set[w].base == base) return &set[w];
   }
   return nullptr;
 }
@@ -37,6 +37,8 @@ const Cache::Line* Cache::find_line(PhysAddr pa) const {
 }
 
 void Cache::writeback(const Line& line) {
+  // No payload: the line's final contents are PhysicalMemory's bytes at
+  // this instant, which is when the bus delivers to snoopers.
   BusTransaction txn;
   txn.op = BusOp::kWriteLine;
   txn.paddr = line.base;
@@ -46,7 +48,6 @@ void Cache::writeback(const Line& line) {
     if (txn.timestamp < *bus_clock_) txn.timestamp = *bus_clock_;
     *bus_clock_ = txn.timestamp;
   }
-  mem_.read_block(line.base, txn.line.data(), kCacheLineSize);
   bus_.issue(txn);
   account_.charge(timing_.dirty_writeback);
   ++account_.counters().dirty_writebacks;
@@ -56,6 +57,23 @@ void Cache::evict(Line& line) {
   if (line.valid && line.dirty) writeback(line);
   line.valid = false;
   line.dirty = false;
+}
+
+Cache::Line& Cache::replace(PhysAddr pa) {
+  const u64 set = set_index(pa);
+  Line* ways = &lines_[set * config_.ways];
+  // Round-robin victim, but prefer an invalid way if one exists.
+  unsigned way = victim_[set];
+  victim_[set] = way + 1 == config_.ways ? 0 : way + 1;
+  for (unsigned w = 0; w < config_.ways; ++w) {
+    if (!ways[w].valid) {
+      way = w;
+      break;
+    }
+  }
+  Line& victim = ways[way];
+  evict(victim);
+  return victim;
 }
 
 void Cache::access(PhysAddr pa, bool is_write) {
@@ -68,20 +86,9 @@ void Cache::access(PhysAddr pa, bool is_write) {
     return;
   }
 
-  // Miss: pick a victim (round-robin), evict, fill via the bus.
+  // Miss: evict a victim, fill via the bus.
   ++account_.counters().l1_misses;
-  const u64 set = set_index(pa);
-  unsigned way = victim_[set];
-  victim_[set] = (way + 1) % config_.ways;
-  // Prefer an invalid way if one exists.
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    if (!lines_[set * config_.ways + w].valid) {
-      way = w;
-      break;
-    }
-  }
-  Line& victim = lines_[set * config_.ways + way];
-  evict(victim);
+  Line& victim = replace(pa);
 
   BusTransaction fill;
   fill.op = BusOp::kReadLine;
@@ -95,6 +102,10 @@ void Cache::access(PhysAddr pa, bool is_write) {
   victim.base = pa & ~(kCacheLineSize - 1);
 }
 
+void Cache::access_lines(PhysAddr pa, u64 n, bool is_write) {
+  for (u64 i = 0; i < n; ++i) access(pa + i * kCacheLineSize, is_write);
+}
+
 void Cache::write_alloc_line(PhysAddr pa) {
   assert(config_.enabled);
   Line* line = find_line(pa);
@@ -105,21 +116,28 @@ void Cache::write_alloc_line(PhysAddr pa) {
     return;
   }
   ++account_.counters().l1_stream_allocs;
-  const u64 set = set_index(pa);
-  unsigned way = victim_[set];
-  victim_[set] = (way + 1) % config_.ways;
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    if (!lines_[set * config_.ways + w].valid) {
-      way = w;
-      break;
-    }
-  }
-  Line& victim = lines_[set * config_.ways + way];
-  evict(victim);
+  Line& victim = replace(pa);
   account_.charge(timing_.write_stream_alloc);
   victim.valid = true;
   victim.dirty = true;
   victim.base = pa & ~(kCacheLineSize - 1);
+}
+
+void Cache::write_alloc_lines(PhysAddr first, u64 n) {
+  for (u64 i = 0; i < n; ++i) write_alloc_line(first + i * kCacheLineSize);
+}
+
+void Cache::write_span(PhysAddr pa, u64 len) {
+  const PhysAddr end = pa + len;
+  PhysAddr line = pa & ~(kCacheLineSize - 1);
+  if (line < pa) {  // ragged head
+    access(line, /*is_write=*/true);
+    line += kCacheLineSize;
+  }
+  const u64 full = line < end ? (end - line) / kCacheLineSize : 0;
+  write_alloc_lines(line, full);
+  line += full * kCacheLineSize;
+  if (line < end) access(line, /*is_write=*/true);  // ragged tail
 }
 
 void Cache::flush_line(PhysAddr pa) {
@@ -144,6 +162,59 @@ bool Cache::contains_line(PhysAddr pa) const {
 bool Cache::line_dirty(PhysAddr pa) const {
   const Line* line = find_line(pa);
   return line != nullptr && line->dirty;
+}
+
+void Cache::save_state(SnapWriter& w) const {
+  w.put_u64(lines_.size());
+  for (const Line& l : lines_) {
+    w.put_bool(l.valid);
+    w.put_bool(l.dirty);
+    w.put_u64(l.base);
+  }
+  w.put_u64(victim_.size());
+  for (const unsigned v : victim_) w.put_u32(v);
+}
+
+void Cache::restore_state(SnapReader& r) {
+  r.section("cache");
+  const u64 nlines = r.get_u64();
+  if (r.ok() && nlines != lines_.size()) {
+    r.fail("line count " + std::to_string(nlines) +
+           " does not match configured geometry");
+    return;
+  }
+  for (u64 i = 0; i < lines_.size(); ++i) {
+    Line& l = lines_[i];
+    l.valid = r.get_bool();
+    l.dirty = r.get_bool();
+    l.base = r.get_u64();
+    // A valid line is indexed by its base on every later access and
+    // write-back, so a tag that could never have been filled is corrupt.
+    if (r.ok() && l.valid &&
+        ((l.base & (kCacheLineSize - 1)) != 0 ||
+         !mem_.contains(l.base, kCacheLineSize) ||
+         set_index(l.base) != i / config_.ways)) {
+      r.fail("line " + std::to_string(i) + " holds impossible tag " +
+             std::to_string(l.base));
+      l.valid = false;
+      return;
+    }
+  }
+  const u64 nsets = r.get_u64();
+  if (r.ok() && nsets != victim_.size()) {
+    r.fail("set count " + std::to_string(nsets) +
+           " does not match configured geometry");
+    return;
+  }
+  for (u64 s = 0; s < victim_.size(); ++s) {
+    victim_[s] = r.get_u32();
+    if (r.ok() && victim_[s] >= config_.ways) {
+      r.fail("set " + std::to_string(s) + " victim way " +
+             std::to_string(victim_[s]) + " out of range");
+      victim_[s] = 0;
+      return;
+    }
+  }
 }
 
 }  // namespace hn::sim

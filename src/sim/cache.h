@@ -4,9 +4,14 @@
 // The cache holds no data — functional state lives in PhysicalMemory — but
 // it decides *when traffic reaches the bus*: a cacheable write marks a line
 // dirty and emits nothing; the final line contents surface as a single
-// kWriteLine transaction at eviction or explicit flush.  This models the
-// MBM visibility problem that forces Hypersec to map monitored pages
+// kWriteLine transaction at eviction or explicit flush.  The transaction
+// carries no payload: a snooper that wants the contents reads
+// PhysicalMemory while the bus delivers it.  This models the MBM
+// visibility problem that forces Hypersec to map monitored pages
 // non-cacheable (§5.3).
+//
+// Hot path (DESIGN.md §9): set index by mask, victim rotation by
+// compare-and-reset, and one call per run of lines for bulk copies.
 #pragma once
 
 #include <vector>
@@ -54,6 +59,19 @@ class Cache {
   /// and large copies.
   void write_alloc_line(PhysAddr pa);
 
+  // Batched forms for bulk copies.  Each replays, in order, exactly the
+  // per-line calls its comment names, so cycles, counters and bus order
+  // match the one-call-per-line loop.
+
+  /// access(pa + i * kCacheLineSize, is_write) for i in [0, n).
+  void access_lines(PhysAddr pa, u64 n, bool is_write);
+  /// write_alloc_line(first + i * kCacheLineSize) for i in [0, n).
+  void write_alloc_lines(PhysAddr first, u64 n);
+  /// A write covering [pa, pa+len): walking the lines it touches in
+  /// address order, a line the span covers whole is write_alloc_line()d
+  /// and a ragged head or tail line is access()ed as a write.
+  void write_span(PhysAddr pa, u64 len);
+
   /// Write back (if dirty) and invalidate the line containing `pa`.
   /// Used by Hypersec when it remaps a monitored page non-cacheable, so no
   /// stale dirty data can later mask a monitored write.
@@ -73,38 +91,12 @@ class Cache {
   // Tag/victim state only: line *data* lives in PhysicalMemory, restored
   // via the snapshot's page set.
 
-  void save_state(SnapWriter& w) const {
-    w.put_u64(lines_.size());
-    for (const Line& l : lines_) {
-      w.put_bool(l.valid);
-      w.put_bool(l.dirty);
-      w.put_u64(l.base);
-    }
-    w.put_u64(victim_.size());
-    for (const unsigned v : victim_) w.put_u32(v);
-  }
-
-  void restore_state(SnapReader& r) {
-    r.section("cache");
-    const u64 nlines = r.get_u64();
-    if (r.ok() && nlines != lines_.size()) {
-      r.fail("line count " + std::to_string(nlines) +
-             " does not match configured geometry");
-      return;
-    }
-    for (Line& l : lines_) {
-      l.valid = r.get_bool();
-      l.dirty = r.get_bool();
-      l.base = r.get_u64();
-    }
-    const u64 nsets = r.get_u64();
-    if (r.ok() && nsets != victim_.size()) {
-      r.fail("set count " + std::to_string(nsets) +
-             " does not match configured geometry");
-      return;
-    }
-    for (unsigned& v : victim_) v = r.get_u32();
-  }
+  void save_state(SnapWriter& w) const;
+  /// Fails on a geometry mismatch, a victim way out of range, or a valid
+  /// line whose tag is unaligned, outside PhysicalMemory or in another set:
+  /// state no run produces, which a later miss or write-back would follow
+  /// past its set or past memory.
+  void restore_state(SnapReader& r);
 
  private:
   struct Line {
@@ -114,10 +106,13 @@ class Cache {
   };
 
   [[nodiscard]] u64 set_index(PhysAddr pa) const {
-    return (pa / kCacheLineSize) % num_sets_;
+    return (pa / kCacheLineSize) & set_mask_;
   }
   Line* find_line(PhysAddr pa);
   [[nodiscard]] const Line* find_line(PhysAddr pa) const;
+  /// Miss path: pick the set's victim way (an invalid way first, else
+  /// round-robin), write it back if dirty, and return it empty.
+  Line& replace(PhysAddr pa);
   void evict(Line& line);
   void writeback(const Line& line);
 
@@ -128,8 +123,8 @@ class Cache {
   const TimingModel& timing_;
   u8 core_id_ = 0;
   Cycles* bus_clock_ = nullptr;  // Machine's shared bus clock (may be null)
-  u64 num_sets_;
-  std::vector<Line> lines_;       // num_sets_ * ways, set-major
+  u64 set_mask_;                  // sets - 1 (sets is a power of two)
+  std::vector<Line> lines_;       // sets * ways, set-major
   std::vector<unsigned> victim_;  // round-robin pointer per set
 };
 

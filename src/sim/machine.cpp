@@ -439,20 +439,10 @@ bool Machine::write_block_bulk(VirtAddr va, const void* data, u64 len,
     const PhysAddr pa = out.t.pa;
     if (out.t.attrs.attr == MemAttr::kNormalCacheable &&
         cur_->cache.config().enabled) {
-      // Walk whole cache lines by absolute address: lines fully covered by
-      // the span use streaming allocation (no fetch-on-write); ragged
-      // edges behave as ordinary write-allocate accesses.
-      const PhysAddr first_line = pa & ~(kCacheLineSize - 1);
-      for (PhysAddr line = first_line; line < pa + chunk;
-           line += kCacheLineSize) {
-        const bool full_line =
-            line >= pa && line + kCacheLineSize <= pa + chunk;
-        if (full_line) {
-          cur_->cache.write_alloc_line(line);
-        } else {
-          cur_->cache.access(line, /*is_write=*/true);
-        }
-      }
+      // Lines fully covered by the span use streaming allocation (no
+      // fetch-on-write); ragged edges behave as ordinary write-allocate
+      // accesses.
+      cur_->cache.write_span(pa, chunk);
       const u64 words = chunk / kWordSize;
       cur_->account.charge_batch(config_.timing.l1_hit,
                                  words - chunk / kCacheLineSize);
@@ -537,9 +527,11 @@ bool Machine::read_block_bulk(VirtAddr va, void* out_buf, u64 len, bool user) {
     const PhysAddr pa = out.t.pa;
     if (out.t.attrs.attr == MemAttr::kNormalCacheable &&
         cur_->cache.config().enabled) {
-      for (u64 line = 0; line < chunk; line += kCacheLineSize) {
-        cur_->cache.access(pa + line, /*is_write=*/false);
-      }
+      // ceil(chunk / line) lines from `pa` itself: an unaligned chunk's
+      // ragged last line goes uncharged.  Fixing that moves simulated
+      // cycles and the goldens (ROADMAP, cycle attribution ledger).
+      const u64 lines = (chunk + kCacheLineSize - 1) / kCacheLineSize;
+      cur_->cache.access_lines(pa, lines, /*is_write=*/false);
       const u64 words = chunk / kWordSize;
       cur_->account.charge_batch(config_.timing.l1_hit,
                                  words - chunk / kCacheLineSize);

@@ -387,7 +387,6 @@ TEST_F(MonitorTest, LineWritebackInvisibleByDefault) {
   sim::BusTransaction t;
   t.op = sim::BusOp::kWriteLine;
   t.paddr = 0xB000;
-  machine_.phys().read_block(0xB000, t.line.data(), kCacheLineSize);
   machine_.bus().issue(t);
   EXPECT_EQ(mbm_->stats().detections, 0u);
 }
@@ -401,10 +400,52 @@ TEST_F(MonitorTest, ConservativeModeScansWritebacks) {
   sim::BusTransaction t;
   t.op = sim::BusOp::kWriteLine;
   t.paddr = 0xB000;
-  machine_.phys().read_block(0xB000, t.line.data(), kCacheLineSize);
   machine_.bus().issue(t);
   EXPECT_EQ(mbm_->stats().detections, 1u);
   EXPECT_EQ(mbm_->stats().snooped_line_writes, 1u);
+}
+
+TEST_F(MonitorTest, ConservativeModeScansRealEviction) {
+  // Through the machine's own cache rather than a hand-built transaction:
+  // two watched words of one line are written while it is cached, then
+  // the flush's write-back surfaces only their final values, and only in
+  // conservative mode.
+  for (const bool conservative : {false, true}) {
+    SCOPED_TRACE(conservative ? "snoop_line_writebacks" : "default");
+    MbmConfig config = cfg_;
+    config.snoop_line_writebacks = conservative;
+    mbm_.reset();
+    mbm_ = std::make_unique<MemoryBusMonitor>(machine_, config);
+    watch_word(0xB000);
+    watch_word(0xB008);
+    sim::Cache& cache = machine_.cache();
+    cache.access(0xB000, /*is_write=*/true);
+    machine_.phys().write64(0xB000, 0x1111);
+    cache.access(0xB008, /*is_write=*/true);
+    machine_.phys().write64(0xB008, 0x2222);
+    cache.access(0xB000, /*is_write=*/true);
+    machine_.phys().write64(0xB000, 0x3333);
+    ASSERT_TRUE(cache.line_dirty(0xB000));
+    EXPECT_EQ(mbm_->stats().detections, 0u);  // cached: nothing on the bus
+
+    cache.flush_line(0xB000);
+    EXPECT_FALSE(cache.contains_line(0xB000));
+    if (!conservative) {
+      EXPECT_EQ(mbm_->stats().detections, 0u);
+      EXPECT_EQ(mbm_->stats().snooped_line_writes, 0u);
+      continue;
+    }
+    EXPECT_EQ(mbm_->stats().snooped_line_writes, 1u);
+    ASSERT_EQ(mbm_->stats().detections, 2u);
+    MonitorEvent ev;
+    ASSERT_TRUE(mbm_->ring().pop(ev));
+    EXPECT_EQ(ev.paddr, 0xB000u);
+    EXPECT_EQ(ev.value, 0x3333u);
+    ASSERT_TRUE(mbm_->ring().pop(ev));
+    EXPECT_EQ(ev.paddr, 0xB008u);
+    EXPECT_EQ(ev.value, 0x2222u);
+    EXPECT_FALSE(mbm_->ring().pop(ev));
+  }
 }
 
 TEST_F(MonitorTest, StatsResetClearsCounters) {

@@ -3,8 +3,11 @@
 // histogram percentile estimator the timeline report renders.
 #include <gtest/gtest.h>
 
+#include "hypernel/system.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "sim/trace_io.h"
+#include "workloads/apps.h"
 
 namespace hn::obs {
 namespace {
@@ -27,14 +30,76 @@ TEST(TimeSeries, PollEmitsOneRowPerBoundary) {
   depth = 2;
   ts.poll(250);  // crosses 100 and 200 in one poll
   const TimeSeriesData data = ts.data(250);
-  ASSERT_GE(data.samples.size(), 2u);
-  // Both rows are stamped at the *boundary* cycles, not the poll cycle,
-  // and the second window's delta is 0 (no probe movement since 100).
+  ASSERT_EQ(data.samples.size(), 3u);
+  // Both rows are stamped at the *boundary* cycles, not the poll cycle.
+  // The increase of 10 over cycles (0, 250] is spread by elapsed cycles:
+  // 100/250 of it per full window, and the 50-cycle tail's share carries
+  // into the flush row.
   EXPECT_EQ(data.samples[0].at, 100u);
-  EXPECT_EQ(data.samples[0].values[0], 10u);  // counter: delta since arm
-  EXPECT_EQ(data.samples[0].values[1], 2u);   // level: as-is
+  EXPECT_EQ(data.samples[0].values[0], 4u);
+  EXPECT_EQ(data.samples[0].values[1], 2u);  // level: as read at the poll
   EXPECT_EQ(data.samples[1].at, 200u);
-  EXPECT_EQ(data.samples[1].values[0], 0u);
+  EXPECT_EQ(data.samples[1].values[0], 4u);
+  EXPECT_EQ(data.samples[1].values[1], 2u);
+  EXPECT_EQ(data.samples[2].at, 250u);
+  EXPECT_EQ(data.samples[2].values[0], 2u);
+}
+
+TEST(TimeSeries, SpreadRemainderCarriesIntoNextRow) {
+  // Integer shares round down; what they leave behind is emitted by a
+  // later row, so the sum still equals the probe's total increase.
+  TimeSeries ts;
+  u64 work = 0;
+  ts.enroll("work", TrackKind::kCounter, [&] { return work; });
+  ts.arm(100, 0);
+  work = 7;
+  ts.poll(300);  // 7 over 300 cycles: floor(7/3) = 2, floor(14/3) = 4, 7
+  work = 9;
+  ts.poll(420);  // 2 more since 300, all of it after boundary 400's share
+  const TimeSeriesData data = ts.data(420);
+  ASSERT_EQ(data.samples.size(), 5u);
+  EXPECT_EQ(data.samples[0].values[0], 2u);
+  EXPECT_EQ(data.samples[1].values[0], 2u);
+  EXPECT_EQ(data.samples[2].values[0], 3u);
+  // (300, 420]: 2 over 120 cycles, boundary 400 is 100 cycles in.
+  EXPECT_EQ(data.samples[3].at, 400u);
+  EXPECT_EQ(data.samples[3].values[0], 1u);
+  EXPECT_EQ(data.samples[4].at, 420u);
+  EXPECT_EQ(data.samples[4].values[0], 1u);
+  EXPECT_EQ(data.track_total("work"), 9u);
+}
+
+TEST(TimeSeries, SampledUntarCoreNeverBusierThanItsWindow) {
+  // `hypernel-sim app --name=untar --sample-cycles=4096`: one core can
+  // charge at most one cycle per elapsed cycle, so no window's share of
+  // sim.core0.cycles may exceed the window (the timeline's util0% stays
+  // <= 100.0), even where one charge spans several windows.
+  constexpr Cycles kInterval = 4096;
+  hypernel::SystemConfig cfg;
+  cfg.enable_mbm = false;
+  cfg.machine.sample_cycles = kInterval;
+  auto sys = hypernel::System::create(cfg);
+  ASSERT_TRUE(sys.ok()) << sys.status().message();
+  workloads::AppParams p;
+  p.scale = 0.2;
+  workloads::run_app_by_name(*sys.value(), "untar", p);
+
+  TimeSeriesData data;
+  ASSERT_TRUE(
+      parse_timeseries(sim::capture_timeseries(sys.value()->machine()), data)
+          .ok());
+  const int core0 = data.track_index("sim.core0.cycles");
+  ASSERT_GE(core0, 0);
+  ASSERT_GT(data.samples.size(), 100u);
+  // Window spans as the timeline renders them: the first window is taken
+  // as one whole interval.
+  Cycles prev = data.samples[0].at > kInterval ? data.samples[0].at - kInterval
+                                               : 0;
+  for (const TimeSeriesSample& row : data.samples) {
+    EXPECT_LE(row.values[static_cast<size_t>(core0)], row.at - prev)
+        << "window ending at cycle " << row.at;
+    prev = row.at;
+  }
 }
 
 TEST(TimeSeries, BoundariesAreAbsolute) {

@@ -2,6 +2,8 @@
 // Cache — in particular the bus-visibility semantics the MBM depends on.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <vector>
 
 #include "common/timing.h"
@@ -48,10 +50,24 @@ TEST(PhysicalMemory, Contains) {
 
 class RecordingSnooper : public BusSnooper {
  public:
+  RecordingSnooper() = default;
+  /// With `mem`, also records each write-back's line contents as memory
+  /// holds them at snoop time (the bus carries no payload).
+  explicit RecordingSnooper(const PhysicalMemory* mem) : mem_(mem) {}
+
   void on_transaction(const BusTransaction& txn) override {
     txns.push_back(txn);
+    if (mem_ != nullptr && txn.op == BusOp::kWriteLine) {
+      std::array<u8, kCacheLineSize> line;
+      mem_->read_block(txn.paddr, line.data(), kCacheLineSize);
+      lines.push_back(line);
+    }
   }
   std::vector<BusTransaction> txns;
+  std::vector<std::array<u8, kCacheLineSize>> lines;  // kWriteLine only
+
+ private:
+  const PhysicalMemory* mem_ = nullptr;
 };
 
 TEST(MemoryBus, SnoopersSeeTransactions) {
@@ -78,7 +94,8 @@ class CacheFixture : public ::testing::Test {
  protected:
   CacheFixture()
       : mem_(1 * 1024 * 1024),
-        cache_(CacheConfig{}, mem_, bus_, account_, timing_) {
+        cache_(CacheConfig{}, mem_, bus_, account_, timing_),
+        snoop_(&mem_) {
     bus_.attach_snooper(&snoop_);
   }
   TimingModel timing_;
@@ -117,7 +134,8 @@ TEST_F(CacheFixture, CacheableWriteInvisibleUntilEviction) {
   ASSERT_EQ(snoop_.txns.size(), 2u);
   EXPECT_EQ(snoop_.txns[1].op, BusOp::kWriteLine);
   u64 line_word;
-  std::memcpy(&line_word, snoop_.txns[1].line.data(), 8);
+  ASSERT_EQ(snoop_.lines.size(), 1u);
+  std::memcpy(&line_word, snoop_.lines[0].data(), 8);
   EXPECT_EQ(line_word, 0xFEEDu);  // final contents, not the write sequence
 }
 
